@@ -15,12 +15,16 @@
 //! - [`TraceRing`] — a fixed-capacity ring of typed I/O events
 //!   ([`TraceEvent`]) with monotonic event ids and per-event virtual/real
 //!   timestamps, drainable by tests and dumpable on error;
-//! - [`TelemetrySnapshot`] — the aggregate exporter: every recorder plus
-//!   derived paper-figure observables (write amplification, backend
-//!   objects/s, pipeline occupancy, frontier lag, GC dead-space ratio),
-//!   serialized to JSON ([`TelemetrySnapshot::to_json`]) and
+//! - [`TelemetrySnapshot`] — the aggregate exporter (schema [`SCHEMA`],
+//!   `lsvd-telemetry-v4`): every recorder plus derived paper-figure
+//!   observables (write amplification, backend objects/s, pipeline
+//!   occupancy, frontier lag, GC dead-space ratio, per-tenant serving
+//!   counters), serialized to JSON ([`TelemetrySnapshot::to_json`]) and
 //!   Prometheus-style text ([`TelemetrySnapshot::to_prometheus`]) with no
-//!   external dependencies.
+//!   external dependencies. Each metric is declared once — field, help
+//!   text, kind, fleet-aggregation rule and Prometheus family — and the
+//!   JSON codec, fleet `absorb`, Prometheus exposition and text report
+//!   are generic walks over those declarations (see [`snapshot`]).
 //!
 //! The crate deliberately depends on nothing (not even the workspace's
 //! vendored stubs) so that any layer — `objstore` middleware, the volume,

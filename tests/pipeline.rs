@@ -20,7 +20,7 @@ use blkdev::RamDisk;
 use lsvd::config::VolumeConfig;
 use lsvd::volume::Volume;
 use lsvd::LsvdError;
-use objstore::{FaultyStore, LatencyStore, MemStore, ObjectStore};
+use objstore::{ChaosStore, LatencyStore, MemStore, ObjectStore};
 
 const BATCH: u64 = 64 << 10;
 
@@ -124,7 +124,7 @@ fn durable_frontier_trails_inflight_puts_and_catches_up() {
 
 #[test]
 fn transient_failure_requeues_without_reordering() {
-    let store = Arc::new(FaultyStore::new(MemStore::new()));
+    let store = Arc::new(ChaosStore::new(MemStore::new()));
     let cache = Arc::new(RamDisk::new(64 << 20));
     let mut vol =
         Volume::create(store.clone(), cache, "vol", 256 << 20, pipeline_cfg(4, 4)).expect("create");
@@ -163,7 +163,7 @@ fn transient_failure_requeues_without_reordering() {
 
 #[test]
 fn backpressure_counts_queued_and_inflight() {
-    let store = Arc::new(FaultyStore::new(MemStore::new()));
+    let store = Arc::new(ChaosStore::new(MemStore::new()));
     let cache = Arc::new(RamDisk::new(64 << 20));
     let tight = VolumeConfig {
         max_pending_batches: 3,
