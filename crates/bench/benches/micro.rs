@@ -611,6 +611,11 @@ fn bench_telemetry(c: &mut Criterion) {
 ///   metadata-only simulator. `elements_per_iter` *is* the sectors copied
 ///   by cleaning (deterministic), so the JSON records cost-benefit's
 ///   lower cleaning WA directly; ns/iter is just simulation speed.
+/// - `gc/collect_fragmented_victims` — the cleaner's backend reads: one
+///   pass over [`FRAG_VICTIMS`] victims, each holding 8 live pieces that
+///   are not in the read cache. `elements_per_iter` is the backend GETs
+///   the pass issued (deterministic); scripts/bench_gate.py holds it to
+///   at most 2 per victim (one header GET, one coalesced data GET).
 fn bench_gc(c: &mut Criterion) {
     use lsvd::gc::GcPolicy;
 
@@ -742,7 +747,64 @@ fn bench_gc(c: &mut Criterion) {
             b.iter(|| std::hint::black_box(skewed(policy).gc_copied_sectors));
         });
     }
+
+    // Cleaning reads over fragmented victims.
+    let gets = get_ops_of_fragmented_pass();
+    g.throughput(Throughput::Elements(gets));
+    g.bench_function("collect_fragmented_victims", |b| {
+        b.iter(|| std::hint::black_box(get_ops_of_fragmented_pass()));
+    });
     g.finish();
+}
+
+/// Victims in `gc/collect_fragmented_victims` (scripts/bench_gate.py
+/// holds the same constant).
+const FRAG_VICTIMS: usize = 16;
+
+/// Builds [`FRAG_VICTIMS`] checkpointed 512 KiB victims, each of 16
+/// separate 32 KiB extents, then overwrites every odd extent and the
+/// first half of every even one after the checkpoint: each victim keeps
+/// 8 live 16 KiB pieces, 48 KiB apart, which no read has brought into
+/// the read cache. Runs one cleaning pass over exactly those victims and
+/// returns the backend GETs it issued.
+fn get_ops_of_fragmented_pass() -> u64 {
+    use objstore::MetricsStore;
+
+    const REGION: usize = 32 << 10;
+    let regions = FRAG_VICTIMS * 16;
+    let metered = MetricsStore::new(MemStore::new());
+    let metrics = metered.handle();
+    let mut vol = Volume::create(
+        Arc::new(metered),
+        Arc::new(RamDisk::new(64 << 20)),
+        "bench",
+        64 << 20,
+        VolumeConfig {
+            gc_enabled: false,
+            batch_bytes: 512 << 10,
+            // The victims' objects end in the one checkpoint; the
+            // overwrites after it are not eligible for cleaning.
+            checkpoint_interval: FRAG_VICTIMS as u32,
+            // Collect every eligible victim.
+            gc_high_watermark: 1.0,
+            ..VolumeConfig::default()
+        },
+    )
+    .unwrap();
+    // Regions sit 64 KiB apart so no two coalesce into one extent.
+    let at = |i: usize| (i * 2 * REGION) as u64;
+    for i in 0..regions {
+        vol.write(at(i), &[0xA0; REGION]).unwrap();
+    }
+    for i in 0..regions {
+        let len = if i % 2 == 1 { REGION } else { REGION / 2 };
+        vol.write(at(i), &vec![0xB0; len]).unwrap();
+    }
+    vol.drain().unwrap();
+    let before = metrics.snapshot().get.count;
+    let collected = vol.run_gc().unwrap();
+    assert_eq!(collected, FRAG_VICTIMS, "the pass must clean every victim");
+    metrics.snapshot().get.count - before
 }
 
 /// Fleet serving: the multi-tenant node's aggregate cost. The

@@ -63,9 +63,11 @@ pub struct VolumeConfig {
     /// [`LsvdError::Backpressure`](crate::LsvdError::Backpressure) until
     /// the backend heals and the queue drains (in strict sequence order).
     pub max_pending_batches: usize,
-    /// Attempts per backend operation in GC and maintenance paths before
-    /// a transient failure aborts the pass (the client data path does not
-    /// retry here — layer a `RetryStore` under the volume for that).
+    /// Attempts per deferred delete before a transient failure leaves it
+    /// on the deferred-delete list for the next sweep. Neither the
+    /// client data path nor the cleaner's reads retry here — a failed
+    /// cleaner read pauses the pass, and a `RetryStore` layered under the
+    /// volume adds per-call retries.
     pub gc_retry_attempts: u32,
     /// Writeback worker threads shipping sealed batches to the backend.
     /// `0` keeps the fully serial path: every PUT happens inline on the

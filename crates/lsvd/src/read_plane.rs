@@ -71,11 +71,20 @@ const STREAM_SLOTS: usize = 8;
 /// fresh guard finds the relocated data. A second failure is a real error.
 const FETCH_ATTEMPTS: u32 = 2;
 
-/// A cached backend object header: the extent list plus the per-extent
-/// payload CRCs recorded at seal time (format v2).
+/// A cached backend object header: where the data area starts, the
+/// extent list, and the per-extent payload CRCs recorded at seal time
+/// (format v2).
 pub(crate) struct HdrEntry {
+    pub(crate) hdr_sectors: u64,
     pub(crate) extents: Vec<(Lba, u32)>,
     pub(crate) crcs: Vec<u32>,
+}
+
+impl HdrEntry {
+    /// Length of the object's data area in sectors.
+    fn data_sectors(&self) -> u64 {
+        self.extents.iter().map(|&(_, l)| l as u64).sum()
+    }
 }
 
 /// The map state served under the plane's `RwLock`.
@@ -807,28 +816,42 @@ impl ReadPlane {
     /// read-cache admission with liveness revalidation. No lock is held
     /// across the GET; the insert takes the exclusive lock briefly.
     fn fetch_window(&self, piece: &MissPiece, bypass: bool) -> Result<(u64, Bytes)> {
-        let loc = piece.loc;
-        let len = piece.len;
-        let name = self.resolve_name(loc.seq);
-        let stat = { self.read_state().objmap.object_stat(loc.seq) };
-        let (hdr_sectors, data_sectors) = match stat {
-            Some(st) => (
-                (st.total_sectors - st.data_sectors) as u64,
-                st.data_sectors as u64,
-            ),
-            None => {
-                let h = fetch_header(self.store.as_ref(), &name)?
-                    .ok_or_else(|| LsvdError::Corrupt(format!("{name}: mapped object missing")))?;
-                (h.data_offset as u64 / SECTOR, h.data_sectors())
-            }
-        };
-        let window = (self.prefetch_bytes / SECTOR).max(len);
-        let fetch = window
-            .min(data_sectors.saturating_sub(loc.off as u64))
-            .max(len);
-        let entry = self.header_extents(loc.seq, &name)?;
-        let mut win_lo = loc.off as u64;
-        let mut win_hi = win_lo + fetch;
+        let seq = piece.loc.seq;
+        let off = piece.loc.off as u64;
+        let name = self.resolve_name(seq);
+        let entry = self.header_extents(seq, &name)?;
+        let window = (self.prefetch_bytes / SECTOR).max(piece.len);
+        let hi = (off + window)
+            .min(entry.data_sectors())
+            .max(off + piece.len);
+        let (win_lo, data) = self.fetch_span(&name, &entry, off, hi)?;
+        self.counters.backend_gets.fetch_add(1, Ordering::Relaxed);
+        self.counters
+            .backend_get_bytes
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        let win_hi = win_lo + data.len() as u64 / SECTOR;
+        self.admit_window(&entry, seq, win_lo, win_hi, &data, bypass)?;
+        Ok((win_lo, data))
+    }
+
+    /// Fetches object sectors `[lo, hi)` of `seq`'s data area with one
+    /// ranged GET (scattered over the writeback pool when pipelined) and
+    /// returns `(window start sector, bytes)`. With `verify_get_crc` the
+    /// window is widened to whole extents and checked against the header
+    /// CRCs, so the window may start before `lo`. Nothing is admitted to
+    /// the read cache: this is the cleaner's read path, whose data is
+    /// about to be rewritten elsewhere.
+    pub(crate) fn fetch_object_range(&self, seq: ObjSeq, lo: u64, hi: u64) -> Result<(u64, Bytes)> {
+        let name = self.resolve_name(seq);
+        let entry = self.header_extents(seq, &name)?;
+        self.fetch_span(&name, &entry, lo, hi)
+    }
+
+    /// The shared GET behind [`ReadPlane::fetch_window`] and
+    /// [`ReadPlane::fetch_object_range`].
+    fn fetch_span(&self, name: &str, entry: &HdrEntry, lo: u64, hi: u64) -> Result<(u64, Bytes)> {
+        let mut win_lo = lo;
+        let mut win_hi = hi;
         let mut expected: Option<u32> = None;
         if self.verify_get_crc {
             // Snap the window outward to whole header extents so the
@@ -858,13 +881,8 @@ impl ReadPlane {
                 });
             }
         }
-        let fetch = win_hi - win_lo;
-        let byte_off = (hdr_sectors + win_lo) * SECTOR;
-        let (data, worker_crc) = self.fetch_ranged(&name, byte_off, fetch * SECTOR)?;
-        self.counters.backend_gets.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .backend_get_bytes
-            .fetch_add(data.len() as u64, Ordering::Relaxed);
+        let byte_off = (entry.hdr_sectors + win_lo) * SECTOR;
+        let (data, worker_crc) = self.fetch_ranged(name, byte_off, (win_hi - win_lo) * SECTOR)?;
         if let Some(exp) = expected {
             let got = worker_crc.unwrap_or_else(|| crc32c(&data));
             self.counters
@@ -876,7 +894,6 @@ impl ReadPlane {
                 )));
             }
         }
-        self.admit_window(&entry, loc.seq, win_lo, win_hi, &data, bypass)?;
         Ok((win_lo, data))
     }
 
@@ -1013,17 +1030,26 @@ impl ReadPlane {
     /// concurrent misses may both fetch; the second insert harmlessly
     /// refreshes the first.
     pub(crate) fn header_extents(&self, seq: ObjSeq, name: &str) -> Result<Arc<HdrEntry>> {
+        self.header(seq, name)?
+            .ok_or_else(|| LsvdError::Corrupt(format!("{name}: mapped object missing")))
+    }
+
+    /// [`ReadPlane::header_extents`], but `None` when the object does not
+    /// exist (nothing is cached for it then).
+    pub(crate) fn header(&self, seq: ObjSeq, name: &str) -> Result<Option<Arc<HdrEntry>>> {
         if let Some(e) = self.hdr.lock().get(seq) {
-            return Ok(e);
+            return Ok(Some(e));
         }
-        let h = fetch_header(self.store.as_ref(), name)?
-            .ok_or_else(|| LsvdError::Corrupt(format!("{name}: mapped object missing")))?;
+        let Some(h) = fetch_header(self.store.as_ref(), name)? else {
+            return Ok(None);
+        };
         let e = Arc::new(HdrEntry {
+            hdr_sectors: h.data_offset as u64 / SECTOR,
             extents: h.extents,
             crcs: h.extent_crcs,
         });
         self.hdr.lock().insert(seq, e.clone());
-        Ok(e)
+        Ok(Some(e))
     }
 
     // ------------------------------------------------------------------
@@ -1092,6 +1118,7 @@ mod tests {
         let mut h = HdrCache::new(2);
         let e = || {
             Arc::new(HdrEntry {
+                hdr_sectors: 0,
                 extents: vec![],
                 crcs: vec![],
             })
@@ -1113,6 +1140,7 @@ mod tests {
         let mut h = HdrCache::new(2);
         let e = || {
             Arc::new(HdrEntry {
+                hdr_sectors: 0,
                 extents: vec![],
                 crcs: vec![],
             })

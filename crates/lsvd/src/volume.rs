@@ -25,6 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use blkdev::BlockDevice;
+use bytes::Bytes;
 use objstore::{
     MetricsHandle, MetricsStore, ObjError, ObjectStore, RetryCounters, RetryHandle, RetryStore,
 };
@@ -46,7 +47,7 @@ use crate::objfmt::{self, Superblock};
 use crate::objmap::{ObjLoc, ObjectMap};
 use crate::rcache::ReadCache;
 use crate::read_plane::ReadPlane;
-use crate::recovery::{self, fetch_header};
+use crate::recovery;
 use crate::types::{
     bytes_to_sectors, checkpoint_name, object_name, superblock_name, Lba, LsvdError, ObjSeq,
     Result, SECTOR,
@@ -93,7 +94,7 @@ enum PutPayload {
 
 impl PutPayload {
     /// The serialized backend object.
-    fn object(&self) -> &bytes::Bytes {
+    fn object(&self) -> &Bytes {
         match self {
             PutPayload::Batch(b) => &b.object,
             PutPayload::Gc(g) => &g.object,
@@ -104,7 +105,7 @@ impl PutPayload {
 /// A sealed GC relocation object queued behind the writeback window.
 struct GcCarrier {
     /// Serialized relocation object (header + live piece data).
-    object: bytes::Bytes,
+    object: Bytes,
     hdr_sectors: u32,
     /// Relocated pieces: `(vLBA, sectors, expected source location)`.
     /// Applied with conditional-redirect semantics — a piece overwritten
@@ -132,7 +133,7 @@ struct GcPass {
     /// Per-victim retirement bookkeeping, keyed by source sequence.
     sources: BTreeMap<ObjSeq, SourceProgress>,
     /// Pieces read but not yet sealed into a carrier.
-    staged: Vec<(Lba, u32, ObjLoc, Vec<u8>)>,
+    staged: Vec<(Lba, u32, ObjLoc, Bytes)>,
     staged_bytes: u64,
     /// Victims whose every piece has been read, but whose last pieces
     /// sit in `staged` awaiting the next carrier seal.
@@ -147,7 +148,13 @@ struct GcPass {
 struct GcCursor {
     seq: ObjSeq,
     pieces: Vec<(Lba, u32, ObjLoc)>,
+    /// The next piece to relocate. It advances only once that piece's
+    /// bytes are in hand: a failed read leaves the piece for the next
+    /// step instead of retiring the victim without it.
     next: usize,
+    /// The last ranged GET, `(object, first data sector, bytes)`: the
+    /// pieces it covers are staged as zero-copy slices of it.
+    span: Option<(ObjSeq, u64, Bytes)>,
 }
 
 #[derive(Default)]
@@ -976,11 +983,15 @@ impl Volume {
         // its relocation carriers share the PUT window with this write's
         // batches, so cleaning progresses without ever gating the
         // foreground on an idle writeback path. A transient backend
-        // failure just pauses the pass; it resumes on a later step.
+        // failure, or a GET that fails its CRC check, just pauses the
+        // pass; it resumes on a later step from the unread piece.
         if self.gc.is_some() {
             match self.gc_step() {
                 Ok(_) => {}
                 Err(LsvdError::Backend(e)) if e.is_transient() => {
+                    self.stats.gc_aborts += 1;
+                }
+                Err(LsvdError::Corrupt(_)) => {
                     self.stats.gc_aborts += 1;
                 }
                 Err(e) => return Err(e),
@@ -1191,17 +1202,6 @@ impl Volume {
 
     fn resolve_name(&self, seq: ObjSeq) -> String {
         object_name(self.sb.stream_for(seq), seq)
-    }
-
-    fn hdr_sectors_of(&mut self, seq: ObjSeq) -> Result<u64> {
-        if let Some(st) = self.plane.read_state().objmap.object_stat(seq) {
-            return Ok((st.total_sectors - st.data_sectors) as u64);
-        }
-        // Should not happen for mapped data; fall back to the header.
-        let name = self.resolve_name(seq);
-        let h = fetch_header(self.store.as_ref(), &name)?
-            .ok_or_else(|| LsvdError::Corrupt(format!("{name}: mapped object missing")))?;
-        Ok(h.data_offset as u64 / SECTOR)
     }
 
     // ------------------------------------------------------------------
@@ -1975,6 +1975,9 @@ impl Volume {
                     let data = self.gc_read_piece(lba, len as u64, loc)?;
                     moved += data.len() as u64;
                     let pass = self.gc.as_mut().expect("active pass");
+                    if let Some(c) = pass.cursor.as_mut() {
+                        c.next += 1;
+                    }
                     pass.staged_bytes += data.len() as u64;
                     pass.staged.push((lba, len, loc, data));
                     if pass.staged_bytes >= self.cfg.batch_bytes {
@@ -2002,18 +2005,16 @@ impl Volume {
         Ok(())
     }
 
-    /// Advances the pass cursor and returns the next live piece to
-    /// relocate, opening victim cursors (header fetch + live-piece
-    /// probe) and compaction runs as the previous ones drain. Returns
-    /// `None` once every victim and run has been fully read.
+    /// Returns the cursor's next live piece to relocate without consuming
+    /// it, opening victim cursors (header fetch + live-piece probe) and
+    /// compaction runs as the previous ones drain. Returns `None` once
+    /// every victim and run has been fully read.
     fn gc_next_piece(&mut self) -> Result<Option<(Lba, u32, ObjLoc)>> {
         loop {
-            let cursor_state = self.gc.as_mut().and_then(|p| {
-                let c = p.cursor.as_mut()?;
+            let cursor_state = self.gc.as_ref().and_then(|p| {
+                let c = p.cursor.as_ref()?;
                 if c.next < c.pieces.len() {
-                    let piece = c.pieces[c.next];
-                    c.next += 1;
-                    Some(Ok(piece))
+                    Some(Ok(c.pieces[c.next]))
                 } else {
                     Some(Err(c.seq))
                 }
@@ -2038,6 +2039,7 @@ impl Volume {
                         seq: 0,
                         pieces,
                         next: 0,
+                        span: None,
                     });
                 }
                 continue;
@@ -2046,15 +2048,13 @@ impl Volume {
         }
     }
 
-    /// Opens a victim: fetches its header, probes the map for its live
-    /// pieces (extended across small holes when defragmentation is on),
-    /// and registers it for retirement tracking.
+    /// Opens a victim: fetches its header (through the read plane's
+    /// header cache), probes the map for its live pieces (extended across
+    /// small holes when defragmentation is on), and registers it for
+    /// retirement tracking.
     fn gc_open_victim(&mut self, seq: ObjSeq) -> Result<()> {
         let name = self.resolve_name(seq);
-        let Some(hdr) = retry_transient_lsvd(self.cfg.gc_retry_attempts, || {
-            fetch_header(self.store.as_ref(), &name)
-        })?
-        else {
+        let Some(hdr) = self.plane.header(seq, &name)? else {
             // Already gone (e.g. deferred delete executed elsewhere).
             self.plane.write_state().objmap.remove_object(seq);
             return Ok(());
@@ -2073,6 +2073,7 @@ impl Volume {
                 seq,
                 pieces,
                 next: 0,
+                span: None,
             });
         }
         Ok(())
@@ -2268,10 +2269,13 @@ impl Volume {
         Ok(out)
     }
 
-    /// Reads one GC piece, preferring local caches over backend GETs
-    /// (§3.5: "in many cases the data needed for garbage collection may be
-    /// found in the local cache").
-    fn gc_read_piece(&mut self, lba: Lba, sectors: u64, loc: ObjLoc) -> Result<Vec<u8>> {
+    /// Reads the cursor's next piece, preferring the read cache over the
+    /// backend (§3.5: "in many cases the data needed for garbage
+    /// collection may be found in the local cache"). A miss is served
+    /// from the cursor's last ranged GET when that covers it; otherwise
+    /// one new GET fetches it together with the pieces after it (see
+    /// [`Volume::gc_span_end`]), CRC-checked when `verify_get_crc` is set.
+    fn gc_read_piece(&mut self, lba: Lba, sectors: u64, loc: ObjLoc) -> Result<Bytes> {
         // Read cache hit? Hold the shared guard across the cache-device
         // read, as the read plane does: eviction (exclusive) cannot reuse
         // the resolved sectors underneath us.
@@ -2281,21 +2285,62 @@ impl Volume {
                 let mut buf = vec![0u8; (sectors * SECTOR) as usize];
                 st.rcache.read_cached(val, sectors, &mut buf)?;
                 self.stats.gc_cache_hit_bytes += buf.len() as u64;
-                return Ok(buf);
+                return Ok(Bytes::from(buf));
             }
         }
-        let name = self.resolve_name(loc.seq);
-        let hdr_sectors = self.hdr_sectors_of(loc.seq)?;
-        let data = retry_transient(self.cfg.gc_retry_attempts, || {
-            self.store.get_range(
-                &name,
-                (hdr_sectors + loc.off as u64) * SECTOR,
-                sectors * SECTOR,
-            )
-        })?;
+        let off = loc.off as u64;
+        let slice = |(seq, lo, data): &(ObjSeq, u64, Bytes)| {
+            let hi = lo + data.len() as u64 / SECTOR;
+            (*seq == loc.seq && *lo <= off && off + sectors <= hi).then(|| {
+                let b = ((off - lo) * SECTOR) as usize;
+                data.slice(b..b + (sectors * SECTOR) as usize)
+            })
+        };
+        let cursor = self.gc.as_ref().and_then(|p| p.cursor.as_ref());
+        if let Some(data) = cursor.and_then(|c| c.span.as_ref()).and_then(slice) {
+            return Ok(data);
+        }
+        let hi = self.gc_span_end();
+        let (lo, data) = self.plane.fetch_object_range(loc.seq, off, hi)?;
         self.stats.backend_gets += 1;
         self.stats.backend_get_bytes += data.len() as u64;
-        Ok(data.to_vec())
+        let span = (loc.seq, lo, data);
+        let piece = slice(&span)
+            .ok_or_else(|| LsvdError::Corrupt(format!("short GET of object {} for GC", loc.seq)))?;
+        if let Some(c) = self.gc.as_mut().and_then(|p| p.cursor.as_mut()) {
+            c.span = Some(span);
+        }
+        Ok(piece)
+    }
+
+    /// The end (object data sector) of the ranged GET serving the
+    /// cursor's next piece: it runs on over the following pieces of the
+    /// same object, in object-offset order, while each gap is at most
+    /// `prefetch_bytes`. Pieces the read cache holds are left out — they
+    /// are served locally when their turn comes.
+    fn gc_span_end(&self) -> u64 {
+        let c = self
+            .gc
+            .as_ref()
+            .and_then(|p| p.cursor.as_ref())
+            .expect("a piece is being read");
+        let (_, len, loc) = c.pieces[c.next];
+        let max_gap = self.cfg.prefetch_bytes / SECTOR;
+        let mut hi = loc.off as u64 + len as u64;
+        let st = self.plane.read_state();
+        for &(plba, plen, ploc) in &c.pieces[c.next + 1..] {
+            let poff = ploc.off as u64;
+            if ploc.seq != loc.seq || poff < hi || poff - hi > max_gap {
+                break;
+            }
+            if !matches!(
+                st.rcache.resolve(plba, plen as u64)[..],
+                [Segment::Mapped { .. }]
+            ) {
+                hi = poff + plen as u64;
+            }
+        }
+        hi
     }
 
     // ------------------------------------------------------------------
@@ -2698,8 +2743,8 @@ fn find_compact_runs(
     runs
 }
 
-/// Bounded immediate retry for maintenance-path store calls (GC,
-/// deferred deletes). Only transient errors are retried; there is no
+/// Bounded immediate retry for maintenance-path store calls (deferred
+/// deletes). Only transient errors are retried; there is no
 /// backoff here — latency-shaped retry belongs in an
 /// [`objstore::RetryStore`] layered under the volume.
 fn retry_transient<T>(
@@ -2710,17 +2755,6 @@ fn retry_transient<T>(
     loop {
         match f() {
             Err(e) if e.is_transient() && tries < attempts => tries += 1,
-            other => return other,
-        }
-    }
-}
-
-/// [`retry_transient`] for calls that already return [`LsvdError`].
-fn retry_transient_lsvd<T>(attempts: u32, mut f: impl FnMut() -> Result<T>) -> Result<T> {
-    let mut tries = 1;
-    loop {
-        match f() {
-            Err(LsvdError::Backend(e)) if e.is_transient() && tries < attempts => tries += 1,
             other => return other,
         }
     }
@@ -2740,7 +2774,7 @@ fn fresh_uuid(image: &str, size: u64) -> u64 {
 mod tests {
     use super::*;
     use blkdev::RamDisk;
-    use objstore::MemStore;
+    use objstore::{ChaosSchedule, ChaosStore, MemStore};
 
     fn setup(size_mb: u64, cache_mb: u64) -> (Arc<MemStore>, Arc<RamDisk>, Volume) {
         let store = Arc::new(MemStore::new());
@@ -3250,5 +3284,108 @@ mod tests {
         assert!(s.backend_put_bytes >= s.write_bytes);
         let waf = s.write_amplification();
         assert!((1.0..1.5).contains(&waf), "WAF {waf}");
+    }
+
+    /// A reopened, cache-less volume over a `ChaosStore` whose
+    /// checkpointed prefix holds four half-dead 256 KiB objects: each of
+    /// 16 separate 64 KiB regions had its first half overwritten three
+    /// times, so every victim has four live 32 KiB pieces, one per
+    /// extent, with 32 KiB gaps between them.
+    /// The 16 KiB prefetch keeps every piece its own GET and the 16 KiB
+    /// step budget moves one piece per step. Returns the expected image.
+    fn fragmented_victims(
+        verify_get_crc: bool,
+    ) -> (Arc<ChaosStore<MemStore>>, VolumeConfig, Volume, Vec<u8>) {
+        let store = Arc::new(ChaosStore::new(MemStore::new()));
+        let dev = Arc::new(RamDisk::new(16 << 20));
+        let cfg = VolumeConfig {
+            batch_bytes: 256 << 10,
+            prefetch_bytes: 16 << 10,
+            gc_step_budget_bytes: 16 << 10,
+            checkpoint_interval: u32::MAX,
+            verify_get_crc,
+            ..VolumeConfig::small_for_tests()
+        };
+        let mut vol =
+            Volume::create(store.clone(), dev.clone(), "vol", 16 << 20, cfg.clone()).unwrap();
+        // Regions sit 128 KiB apart so no two coalesce into one extent.
+        let mut image = vec![0u8; 32 << 16];
+        for i in 0..16usize {
+            let region = &mut image[(2 * i) << 16..(2 * i + 1) << 16];
+            region.fill(i as u8 + 1);
+            vol.write((2 * i as u64) << 16, region).unwrap();
+        }
+        for round in 0..3u8 {
+            for i in 0..16usize {
+                let half = &mut image[(2 * i) << 16..((2 * i) << 16) + (32 << 10)];
+                half.fill(0x80 + round * 16 + i as u8);
+                vol.write((2 * i as u64) << 16, half).unwrap();
+            }
+        }
+        vol.drain().unwrap();
+        vol.write_checkpoint().unwrap();
+        vol.shutdown().unwrap();
+        dev.obliterate();
+        let vol = Volume::open(store.clone(), dev, "vol", cfg.clone()).unwrap();
+        (store, cfg, vol, image)
+    }
+
+    fn assert_image(vol: &mut Volume, image: &[u8]) {
+        for (i, want) in image.chunks(4096).enumerate() {
+            let mut got = vec![0u8; 4096];
+            vol.read(i as u64 * 4096, &mut got)
+                .unwrap_or_else(|e| panic!("block {i}: {e}"));
+            assert!(got == want, "block {i} reads back wrong data");
+        }
+    }
+
+    #[test]
+    fn gc_read_failure_keeps_the_unread_piece() {
+        let (store, _, mut vol, image) = fragmented_victims(false);
+        vol.gc_step().unwrap();
+        assert!(vol.gc_active(), "the budgeted step leaves the pass open");
+        store.fail_next_gets(100);
+        assert!(
+            vol.gc_step().is_err(),
+            "the next piece's GET fails, so the step must"
+        );
+        store.heal();
+        vol.run_gc().unwrap();
+        assert!(!vol.gc_active());
+        assert!(vol.stats().gc_relocated_bytes > 0);
+        // The checkpoint covers the pass and deletes its victims: a
+        // piece the cursor skipped would now read a deleted object.
+        vol.write_checkpoint().unwrap();
+        assert!(vol.stats().gc_deletes > 0);
+        assert_image(&mut vol, &image);
+    }
+
+    #[test]
+    fn gc_rejects_corrupted_gets_instead_of_relocating_them() {
+        let (store, cfg, mut vol, image) = fragmented_victims(true);
+        vol.gc_step().unwrap();
+        let staged = |vol: &Volume| vol.gc.as_ref().map_or(0, |p| p.staged.len());
+        assert_eq!(staged(&vol), 1, "the first step staged one piece");
+        // Armed only now: the victim's header is already cached, so the
+        // corruption lands on the next piece's data GET.
+        store.set_schedule(ChaosSchedule {
+            corrupt_get_p: 1.0,
+            ..ChaosSchedule::seeded(7)
+        });
+        let err = vol.gc_step().unwrap_err();
+        assert!(matches!(err, LsvdError::Corrupt(_)), "{err}");
+        assert!(store.gets_corrupted() > 0);
+        assert_eq!(staged(&vol), 1, "corrupted bytes must not be staged");
+        assert_eq!(vol.stats().gc_relocated_bytes, 0, "no carrier sealed");
+        store.heal();
+        vol.run_gc().unwrap();
+        assert!(!vol.gc_active());
+        vol.write_checkpoint().unwrap();
+        assert_image(&mut vol, &image);
+        // And from the backend alone, through a cold cache.
+        let dev = Arc::new(RamDisk::new(16 << 20));
+        vol.shutdown().unwrap();
+        let mut vol = Volume::open(store, dev, "vol", cfg).unwrap();
+        assert_image(&mut vol, &image);
     }
 }

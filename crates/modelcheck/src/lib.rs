@@ -138,17 +138,33 @@ pub enum Faults {
     /// Mild faults plus a timed outage window (drives degraded mode and
     /// the queued-batch / late-landing interleavings).
     Outage,
+    /// A GET-only outage armed the first time a cleaning pass is seen in
+    /// flight: the next [`GC_OUTAGE_GETS`] GETs fail, enough to exhaust
+    /// every retry layer, so a relocation read fails mid-victim and the
+    /// pass must resume without losing the unread piece.
+    GcGetOutage,
 }
+
+/// Consecutive GET failures in a [`Faults::GcGetOutage`] outage: enough
+/// to outlast three rounds of the retry store's four attempts, so a
+/// relocation read fails even under a caller that retries.
+const GC_OUTAGE_GETS: u64 = 16;
 
 impl Faults {
     /// All fault profiles, in exploration order.
-    pub const ALL: [Faults; 3] = [Faults::None, Faults::Mild, Faults::Outage];
+    pub const ALL: [Faults; 4] = [
+        Faults::None,
+        Faults::Mild,
+        Faults::Outage,
+        Faults::GcGetOutage,
+    ];
 
     fn name(self) -> &'static str {
         match self {
             Faults::None => "none",
             Faults::Mild => "mild",
             Faults::Outage => "outage",
+            Faults::GcGetOutage => "gc-get-outage",
         }
     }
 
@@ -158,7 +174,8 @@ impl Faults {
 
     fn schedule(self, seed: u64) -> ChaosSchedule {
         match self {
-            Faults::None => ChaosSchedule::seeded(seed),
+            // The GC outage is armed by the driver, not the schedule.
+            Faults::None | Faults::GcGetOutage => ChaosSchedule::seeded(seed),
             Faults::Mild => ChaosSchedule {
                 put_fail_p: 0.05,
                 get_fail_p: 0.02,
@@ -597,9 +614,20 @@ fn kind_tag(event: &TraceEvent) -> &'static str {
 /// Drives the op stream against `vol`, mirroring it into `oracle`.
 /// Returns `Err` only for a *live* contract violation (a successful read
 /// that contradicts the model); volume errors are absorbed per the
-/// ack/reject rules.
-fn drive(vol: &mut Volume, oracle: &mut Oracle, plan: &[PlannedOp]) -> Result<(), String> {
+/// ack/reject rules. With `gc_outage` set, a GET-only outage is armed on
+/// it after the first op that leaves a cleaning pass in flight.
+fn drive(
+    vol: &mut Volume,
+    oracle: &mut Oracle,
+    plan: &[PlannedOp],
+    mut gc_outage: Option<&ChaosStore<CutStore<MemStore>>>,
+) -> Result<(), String> {
     for (step, op) in plan.iter().enumerate() {
+        if vol.gc_active() {
+            if let Some(chaos) = gc_outage.take() {
+                chaos.fail_next_gets(GC_OUTAGE_GETS);
+            }
+        }
         match *op {
             PlannedOp::Write { block, nblocks } => {
                 let (idx, data) = oracle.begin_write(block, nblocks);
@@ -716,7 +744,8 @@ pub fn run_case(case: &McCase) -> Result<RunReport, McFailure> {
 
     let mut oracle = Oracle::new();
     let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-        let r = drive(&mut vol, &mut oracle, &plan);
+        let gc_outage = (case.faults == Faults::GcGetOutage).then(|| store.inner());
+        let r = drive(&mut vol, &mut oracle, &plan, gc_outage);
         // Crash without shutdown: drop discards queued work, in-flight
         // worker PUTs land whole or not at all.
         drop(vol);
@@ -1067,6 +1096,20 @@ mod tests {
             report.events.iter().any(|(_, k)| *k == "gc-pass"),
             "no pass ever completed"
         );
+    }
+
+    #[test]
+    fn gc_get_outage_does_not_drop_a_live_piece() {
+        // A serial reproducer the GET-outage schedule found: the outage
+        // fails a relocation read mid-victim. A cursor that stepped past
+        // the unread piece retired the victim without it, the next
+        // checkpoint deleted the victim, and recovery read
+        // "mc.00000004: mapped object missing".
+        let case = McCase::parse(
+            "seed=2 profile=trim-race faults=gc-get-outage mode=serial cache=kept crash=none",
+        )
+        .unwrap();
+        run_case(&case).unwrap_or_else(|f| panic!("{f}"));
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! A directory-backed functional object store (one file per object).
 
 use std::fs;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use bytes::Bytes;
 
-use crate::{slice_range, ObjError, ObjectStore, Result};
+use crate::{ObjError, ObjectStore, Result};
 
 /// An object store that persists each object as a file in a host directory,
 /// so example programs survive process restarts like a real S3 bucket.
@@ -51,10 +52,28 @@ impl ObjectStore for DirStore {
     }
 
     fn get_range(&self, name: &str, offset: u64, len: u64) -> Result<Bytes> {
-        // Whole-object read then slice: fine for the example-scale data the
-        // functional plane handles.
-        let data = self.get(name)?;
-        slice_range(name, &data, offset, len)
+        // Read only the requested bytes: a ranged GET of a few KiB must
+        // not cost a read of the whole (typically 8 MiB) object file.
+        let mut file = match fs::File::open(self.path(name)) {
+            Ok(f) => f,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Err(ObjError::NotFound(name.to_string()))
+            }
+            Err(e) => return Err(e.into()),
+        };
+        let size = file.metadata()?.len();
+        if offset.checked_add(len).is_none_or(|end| end > size) {
+            return Err(ObjError::BadRange {
+                name: name.to_string(),
+                offset,
+                len,
+                size,
+            });
+        }
+        let mut buf = vec![0u8; len as usize];
+        file.seek(SeekFrom::Start(offset))?;
+        file.read_exact(&mut buf)?;
+        Ok(Bytes::from(buf))
     }
 
     fn head(&self, name: &str) -> Result<u64> {
@@ -93,6 +112,7 @@ impl ObjectStore for DirStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::slice_range;
 
     fn tmpdir(tag: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -114,6 +134,27 @@ mod tests {
         assert_eq!(s.head("vol.002").unwrap(), 6);
         assert_eq!(s.list("vol.").unwrap(), vec!["vol.001", "vol.002"]);
         assert_eq!(s.get_range("vol.002", 4, 2).unwrap().as_ref(), b"22");
+        fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn dir_store_get_range_errors_match_slice_range() {
+        let root = tmpdir("range");
+        let s = DirStore::open(&root).unwrap();
+        let data = Bytes::from_static(b"0123456789");
+        s.put("obj", data.clone()).unwrap();
+        assert_eq!(s.get_range("obj", 3, 4).unwrap().as_ref(), b"3456");
+        assert_eq!(s.get_range("obj", 10, 0).unwrap().as_ref(), b"");
+        for (offset, len) in [(8, 3), (11, 0), (u64::MAX, 2)] {
+            let want = slice_range("obj", &data, offset, len).unwrap_err();
+            let got = s.get_range("obj", offset, len).unwrap_err();
+            assert!(matches!(got, ObjError::BadRange { .. }), "{got}");
+            assert_eq!(got.to_string(), want.to_string());
+        }
+        match s.get_range("absent", 0, 1) {
+            Err(ObjError::NotFound(name)) => assert_eq!(name, "absent"),
+            other => panic!("expected NotFound, got {other:?}"),
+        }
         fs::remove_dir_all(&root).unwrap();
     }
 

@@ -34,6 +34,12 @@ Two GC ratio gates ride the same mechanism:
   tax: mean write cost with the budgeted cleaner active must stay
   within 3x of the GC-off baseline in both files.
 
+One exact count gate: `gc/collect_fragmented_victims` declares the
+backend GETs one cleaning pass issues over 16 victims of 8 live pieces
+each as `elements_per_iter` (deterministic). Both files must show at
+most 2 GETs per victim — one header GET and one coalesced data GET —
+not one GET per live piece.
+
 The fleet scaling gate (`fleet/aggregate_write_4K_64vol` vs `_1vol`)
 divides the 64-tenant per-iteration time by 64 to get per-op cost: the
 committed baseline must show 64-tenant aggregate throughput at >= 0.85x
@@ -86,6 +92,13 @@ GC_POLICY_BOUND = 0.95
 GC_CHURN_PAIR = ("gc/write_4K_churn_gc_on", "gc/write_4K_churn_gc_off")
 GC_CHURN_BOUND = 3.0
 
+# The cleaner reads each victim with coalesced ranged GETs: at most one
+# header GET and one data GET per victim (elements_per_iter is the GET
+# count of one pass, deterministic). FRAG_VICTIMS matches the bench.
+GC_READS = "gc/collect_fragmented_victims"
+FRAG_VICTIMS = 16
+GC_READS_BOUND = 2 * FRAG_VICTIMS
+
 # Fleet aggregate scaling: the 64-tenant bench writes one 4K block on
 # every tenant per iteration, so ns_per_iter / 64 is its per-op cost.
 # Aggregate throughput with 64 tenants on one reactor must stay >= 0.85x
@@ -130,6 +143,21 @@ def check_pair(failures, results, label, pair, field, bound, required):
         failures.append((label, bound, ratio, ratio))
         verdict = "  REGRESSION"
     print(f"{label:<28} bound {bound:.2f}x  measured {ratio:>6.2f}x{verdict}")
+
+
+def check_count(failures, results, label, name, bound, required):
+    """Gates results[name]["elements_per_iter"] <= bound (an exact count)."""
+    count = results.get(name, {}).get("elements_per_iter")
+    if count is None:
+        if required:
+            failures.append((label + " missing", 0.0, 0.0, float("inf")))
+            print(f"{label}: missing")
+        return
+    verdict = ""
+    if count > bound:
+        failures.append((label, bound, count, count / bound))
+        verdict = "  REGRESSION"
+    print(f"{label:<28} bound {bound:>5}   measured {count:>6}{verdict}")
 
 
 def fleet_ratio(results: dict):
@@ -268,6 +296,12 @@ def main() -> int:
             failures, results, label, GC_CHURN_PAIR, "ns_per_iter",
             GC_CHURN_BOUND, required,
         )
+
+    for label, results, required in [
+        ("gc victim GETs (baseline)", baseline, True),
+        ("gc victim GETs (fresh)", fresh, False),
+    ]:
+        check_count(failures, results, label, GC_READS, GC_READS_BOUND, required)
 
     # Fleet scaling gate: per-op cost at 64 tenants vs 1, strict on the
     # committed baseline, noise-tolerant on fresh quick runs.
