@@ -307,10 +307,11 @@ fn bench_volume_write_read(c: &mut Criterion) {
 }
 
 /// 4K random read/write through the loopback NBD serving plane against
-/// the same ops on the shared volume directly. The delta is the serving
-/// tax: framing, two socket hops, the scheduler hand-off, and the
-/// reply-window bookkeeping — the overhead §5's "virtues of the log"
-/// argument says the backend must amortise.
+/// the same ops on the shared volume directly, and against the bare
+/// loopback TCP floor. The delta is the serving tax: framing, two socket
+/// hops, the scheduler hand-off for writes (reads that hit are served on
+/// the reactor), and the reply-window bookkeeping — the overhead §5's
+/// "virtues of the log" argument says the backend must amortise.
 fn bench_nbd(c: &mut Criterion) {
     use lsvd::shared::SharedVolume;
     use nbd::server::ServerConfig;
@@ -348,10 +349,42 @@ fn bench_nbd(c: &mut Criterion) {
     shared.flush().unwrap();
 
     let mut g = c.benchmark_group("nbd");
+    g.throughput(Throughput::Bytes(4096));
+    // The floor under every loopback number below: a bare TCP exchange
+    // shaped like a 4K NBD read (a request header out, a reply header
+    // plus 4 KiB back) against an echo thread, no server code at all.
+    // scripts/bench_gate.py holds `randread_4K_loopback` p50 within 2x
+    // of this p50.
+    {
+        use nbd::proto::{REQUEST_LEN, SIMPLE_REPLY_LEN};
+        use std::io::{Read, Write};
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind echo");
+        let echo_addr = listener.local_addr().expect("echo addr");
+        let echo = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().expect("accept");
+            s.set_nodelay(true).expect("nodelay");
+            let mut req = [0u8; REQUEST_LEN];
+            let reply = vec![0u8; SIMPLE_REPLY_LEN + 4096];
+            while s.read_exact(&mut req).is_ok() && s.write_all(&reply).is_ok() {}
+        });
+        let mut echo_client = std::net::TcpStream::connect(echo_addr).expect("connect echo");
+        echo_client.set_nodelay(true).expect("nodelay");
+        let req = [0u8; REQUEST_LEN];
+        let mut reply = vec![0u8; SIMPLE_REPLY_LEN + 4096];
+        g.bench_function("loopback_floor_4K", |b| {
+            b.iter(|| {
+                echo_client.write_all(&req).unwrap();
+                echo_client.read_exact(&mut reply).unwrap();
+            });
+        });
+        drop(echo_client);
+        echo.join().expect("echo thread");
+    }
+
     let data = vec![0x5Au8; 4096];
     let mut buf = vec![0u8; 4096];
     let mut client = nbd::Client::connect(addr, "bench").expect("connect");
-    g.throughput(Throughput::Bytes(4096));
     g.bench_function("randread_4K_loopback", |b| {
         let mut x = 0x1357u64;
         b.iter(|| {
@@ -815,7 +848,8 @@ fn get_ops_of_fragmented_pass() -> u64 {
 /// 64-tenant per-op cost to >= 0.85x of single-tenant aggregate
 /// throughput. `conn_scale_{64,512}` holds N negotiated connections
 /// open on one reactor and round-trips a 4K read on one of them per
-/// iteration: the price of an idle-heavy poll set.
+/// iteration: the price of an idle-heavy interest set (gated at
+/// `conn_scale_512` <= 1.3x `conn_scale_64`).
 fn bench_fleet(c: &mut Criterion) {
     use lsvd::fleet::{ExportRegistry, QosLimits};
     use lsvd::shared::SharedVolume;

@@ -1,16 +1,19 @@
 //! A file-backed functional block device.
 
 use std::fs::{File, OpenOptions};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
-
-use parking_lot::Mutex;
 
 use crate::{check_range, BlockDevice, Result};
 
 /// A block device backed by a host file, used by the runnable examples so a
 /// cache survives process restarts the way a real cache SSD partition does.
+///
+/// Reads and writes are positional (`pread`/`pwrite`) on one shared file
+/// with no lock, so a read never queues behind a `flush` that sits in
+/// `fdatasync`, nor behind another thread's write.
 pub struct FileDisk {
-    file: Mutex<File>,
+    file: File,
     capacity: u64,
 }
 
@@ -24,20 +27,14 @@ impl FileDisk {
             .truncate(false)
             .open(path)?;
         file.set_len(capacity)?;
-        Ok(FileDisk {
-            file: Mutex::new(file),
-            capacity,
-        })
+        Ok(FileDisk { file, capacity })
     }
 
     /// Opens an existing device file, using its current length as capacity.
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
         let capacity = file.metadata()?.len();
-        Ok(FileDisk {
-            file: Mutex::new(file),
-            capacity,
-        })
+        Ok(FileDisk { file, capacity })
     }
 }
 
@@ -48,24 +45,18 @@ impl BlockDevice for FileDisk {
 
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> Result<()> {
         check_range(offset, buf.len(), self.capacity)?;
-        use std::io::{Read, Seek, SeekFrom};
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(offset))?;
-        f.read_exact(buf)?;
+        self.file.read_exact_at(buf, offset)?;
         Ok(())
     }
 
     fn write_at(&self, offset: u64, data: &[u8]) -> Result<()> {
         check_range(offset, data.len(), self.capacity)?;
-        use std::io::{Seek, SeekFrom, Write};
-        let mut f = self.file.lock();
-        f.seek(SeekFrom::Start(offset))?;
-        f.write_all(data)?;
+        self.file.write_all_at(data, offset)?;
         Ok(())
     }
 
     fn flush(&self) -> Result<()> {
-        self.file.lock().sync_data()?;
+        self.file.sync_data()?;
         Ok(())
     }
 }

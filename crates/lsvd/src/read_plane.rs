@@ -11,6 +11,9 @@
 //! - **cache-hit reads** take the *shared* lock and run genuinely in
 //!   parallel — with each other and with everything the volume does that
 //!   doesn't mutate maps (socket I/O, batch sealing, backend PUTs);
+//!   [`ReadPlane::try_read_local`] is the same hit path for a caller
+//!   that must never block (the NBD reactor): it declines, uncounted,
+//!   when the lock is contended or any byte lives only in the backend;
 //! - **mutations** (write placements, trims, writeback apply, GC) take the
 //!   *exclusive* lock for the short map-update critical sections only,
 //!   never across device or network I/O;
@@ -339,6 +342,19 @@ struct MissPiece {
     loc: ObjLoc,
 }
 
+/// Where one piece `[start, start+len)` of a read is served from, as
+/// resolved under a shared guard.
+enum Piece {
+    /// Write-back cache: log sectors on the cache device at `plba`.
+    Wlog { start: Lba, len: u64, plba: Plba },
+    /// Read cache at `plba`.
+    Cached { start: Lba, len: u64, plba: Plba },
+    /// Never written: zeros.
+    Zero { start: Lba, len: u64 },
+    /// Backend object: needs a fetch.
+    Backend(MissPiece),
+}
+
 /// Decrements the read-concurrency gauge on scope exit.
 struct GaugeGuard<'a>(&'a AtomicU64);
 
@@ -467,6 +483,17 @@ impl ReadPlane {
         g
     }
 
+    /// Takes the shared state lock only if that cannot block.
+    fn try_read_state(&self) -> Option<parking_lot::RwLockReadGuard<'_, ReadState>> {
+        let t0 = Instant::now();
+        let g = self.state.try_read()?;
+        self.shared_lock_wait.observe(t0.elapsed());
+        self.counters
+            .shared_lock_acqs
+            .fetch_add(1, Ordering::Relaxed);
+        Some(g)
+    }
+
     /// Acquires the exclusive state lock, recording the wait.
     pub(crate) fn write_state(&self) -> parking_lot::RwLockWriteGuard<'_, ReadState> {
         let t0 = Instant::now();
@@ -528,15 +555,14 @@ impl ReadPlane {
         res
     }
 
-    fn read_into_ctx(&self, offset: u64, buf: &mut [u8], req: u64, parent: u64) -> Result<()> {
-        let (lba, sectors) = self.check_access(offset, buf.len())?;
-        if buf.is_empty() {
-            return Ok(());
-        }
+    /// Counts a read entering the plane and notes it with the scan
+    /// detector. Returns the concurrency gauge (held for the read's
+    /// duration) and whether the read's stream bypasses admission.
+    fn enter_read(&self, lba: Lba, sectors: u64) -> (GaugeGuard<'_>, bool) {
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         self.counters
             .read_bytes
-            .fetch_add(buf.len() as u64, Ordering::Relaxed);
+            .fetch_add(sectors * SECTOR, Ordering::Relaxed);
         let cur = self
             .counters
             .concurrent_readers
@@ -545,9 +571,73 @@ impl ReadPlane {
         self.counters
             .peak_concurrent_readers
             .fetch_max(cur, Ordering::Relaxed);
-        let _gauge = GaugeGuard(&self.counters.concurrent_readers);
+        let gauge = GaugeGuard(&self.counters.concurrent_readers);
         let run = self.streams.lock().note(lba, sectors);
         let bypass = self.scan_bypass_sectors > 0 && run >= self.scan_bypass_sectors;
+        (gauge, bypass)
+    }
+
+    /// Serves `len` bytes at `offset` only if that needs neither a wait
+    /// nor the backend: the shared lock is taken with `try_read`, and
+    /// every piece must resolve to the write-back cache, the read cache
+    /// or a hole. Only then is `admit` asked (still under the guard)
+    /// whether the read may run here; the read is served under the same
+    /// guard, so what was resolved is what is served. `None` (lock
+    /// contended, some piece maps to a backend object, or `admit`
+    /// refused) leaves the read counters, the scan detector and the
+    /// spans untouched — only the lock statistics see the attempt — so
+    /// the caller can hand the read to the blocking path, which then
+    /// counts it once. A `Some` read is accounted exactly like a hit
+    /// through [`ReadPlane::read_into_traced`], including its `read` span
+    /// under `parent`; an invalid range is `Some(Err)` once admitted.
+    pub fn try_read_local(
+        &self,
+        offset: u64,
+        len: usize,
+        req: u64,
+        parent: u64,
+        admit: impl FnOnce() -> bool,
+    ) -> Option<Result<Bytes>> {
+        let (lba, sectors) = match self.check_access(offset, len) {
+            Ok(r) => r,
+            Err(e) => return admit().then_some(Err(e)),
+        };
+        if len == 0 {
+            return admit().then(|| Ok(Bytes::new()));
+        }
+        let st = self.try_read_state()?;
+        let pieces = Self::resolve(&st, lba, sectors);
+        if pieces.iter().any(|p| matches!(p, Piece::Backend(_))) || !admit() {
+            return None;
+        }
+        // The span shares the latency sample's two clock readings.
+        let t0 = Instant::now();
+        let span = if req != 0 {
+            self.spans.begin_at(req, parent, Stage::Read, t0)
+        } else {
+            None
+        };
+        let (_gauge, _) = self.enter_read(lba, sectors);
+        let mut buf = vec![0u8; len];
+        let res = self.serve(&st, lba, pieces, &mut buf);
+        drop(st);
+        let t1 = Instant::now();
+        if res.is_ok() {
+            self.counters.hit_reads.fetch_add(1, Ordering::Relaxed);
+            self.read_lat.observe(t1 - t0);
+        }
+        if let Some(open) = span {
+            self.spans.finish_at(open, t1, lba, len as u64);
+        }
+        Some(res.map(|_| Bytes::from(buf)))
+    }
+
+    fn read_into_ctx(&self, offset: u64, buf: &mut [u8], req: u64, parent: u64) -> Result<()> {
+        let (lba, sectors) = self.check_access(offset, buf.len())?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        let (_gauge, bypass) = self.enter_read(lba, sectors);
 
         let t0 = Instant::now();
         // Worklist of `(start, len, attempt)` subranges still to serve.
@@ -560,7 +650,8 @@ impl ReadPlane {
         while let Some((s, l, attempt)) = work.pop() {
             let misses = {
                 let st = self.read_state();
-                self.serve_under_guard(&st, lba, s, l, buf)?
+                let pieces = Self::resolve(&st, s, l);
+                self.serve(&st, lba, pieces, buf)?
             };
             let Some((first, rest)) = misses.split_first() else {
                 continue;
@@ -623,68 +714,80 @@ impl ReadPlane {
         Ok(Bytes::from(buf))
     }
 
-    /// Serves `[start, start+len)` of the read based at `base` from local
-    /// state under the caller's shared guard: write-back cache and read
-    /// cache hits are read from the cache device, unmapped ranges are
-    /// zeroed, and backend-mapped pieces are returned for lock-free fetch.
-    fn serve_under_guard(
+    /// Resolves `[start, start+len)` against the caller's shared guard:
+    /// write-back cache first, then read cache, then the object map.
+    /// Pure — no counter moves — so a caller may resolve, look, and walk
+    /// away.
+    fn resolve(st: &ReadState, start: Lba, len: u64) -> Vec<Piece> {
+        let mut pieces = Vec::new();
+        for seg in st.wcache_map.resolve(start, len) {
+            let (hs, hl) = match seg {
+                Segment::Mapped { start, len, val } => {
+                    pieces.push(Piece::Wlog {
+                        start,
+                        len,
+                        plba: val,
+                    });
+                    continue;
+                }
+                Segment::Hole { start, len } => (start, len),
+            };
+            for seg in st.rcache.resolve(hs, hl) {
+                let (rs, rl) = match seg {
+                    Segment::Mapped { start, len, val } => {
+                        pieces.push(Piece::Cached {
+                            start,
+                            len,
+                            plba: val,
+                        });
+                        continue;
+                    }
+                    Segment::Hole { start, len } => (start, len),
+                };
+                for seg in st.objmap.resolve(rs, rl) {
+                    pieces.push(match seg {
+                        Segment::Hole { start, len } => Piece::Zero { start, len },
+                        Segment::Mapped { start, len, val } => Piece::Backend(MissPiece {
+                            start,
+                            len,
+                            loc: val,
+                        }),
+                    });
+                }
+            }
+        }
+        pieces
+    }
+
+    /// Serves the local `pieces` of the read based at `base` into `buf`
+    /// under the same shared guard they were resolved with: cache hits
+    /// read from the cache device, holes zeroed. Backend pieces count as
+    /// read-cache misses and are returned for lock-free fetch.
+    fn serve(
         &self,
         st: &ReadState,
         base: Lba,
-        start: Lba,
-        len: u64,
+        pieces: Vec<Piece>,
         buf: &mut [u8],
     ) -> Result<Vec<MissPiece>> {
+        let range = |s: Lba, l: u64| {
+            let b = ((s - base) * SECTOR) as usize;
+            b..b + (l * SECTOR) as usize
+        };
         let mut misses = Vec::new();
-        for seg in st.wcache_map.resolve(start, len) {
-            match seg {
-                Segment::Mapped {
-                    start: s,
-                    len: l,
-                    val,
-                } => {
-                    let b = ((s - base) * SECTOR) as usize;
-                    let e = b + (l * SECTOR) as usize;
-                    self.dev.read_at(val * SECTOR, &mut buf[b..e])?;
+        for piece in pieces {
+            match piece {
+                Piece::Wlog { start, len, plba } => self
+                    .dev
+                    .read_at(plba * SECTOR, &mut buf[range(start, len)])?,
+                Piece::Cached { start, len, plba } => {
+                    st.rcache
+                        .read_cached(plba, len, &mut buf[range(start, len)])?
                 }
-                Segment::Hole { start: hs, len: hl } => {
-                    for seg in st.rcache.resolve(hs, hl) {
-                        match seg {
-                            Segment::Mapped {
-                                start: s,
-                                len: l,
-                                val,
-                            } => {
-                                let b = ((s - base) * SECTOR) as usize;
-                                let e = b + (l * SECTOR) as usize;
-                                st.rcache.read_cached(val, l, &mut buf[b..e])?;
-                            }
-                            Segment::Hole { start: rs, len: rl } => {
-                                for seg in st.objmap.resolve(rs, rl) {
-                                    match seg {
-                                        Segment::Hole { start: s, len: l } => {
-                                            // Never written: zeros.
-                                            let b = ((s - base) * SECTOR) as usize;
-                                            let e = b + (l * SECTOR) as usize;
-                                            buf[b..e].fill(0);
-                                        }
-                                        Segment::Mapped {
-                                            start: s,
-                                            len: l,
-                                            val,
-                                        } => {
-                                            st.rcache.note_miss(l);
-                                            misses.push(MissPiece {
-                                                start: s,
-                                                len: l,
-                                                loc: val,
-                                            });
-                                        }
-                                    }
-                                }
-                            }
-                        }
-                    }
+                Piece::Zero { start, len } => buf[range(start, len)].fill(0),
+                Piece::Backend(m) => {
+                    st.rcache.note_miss(m.len);
+                    misses.push(m);
                 }
             }
         }

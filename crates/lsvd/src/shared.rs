@@ -127,6 +127,26 @@ impl SharedVolume {
         self.plane.read_bytes_traced(offset, len, req, parent)
     }
 
+    /// Non-blocking [`SharedVolume::read_bytes_traced`] for callers that
+    /// must not wait (the NBD reactor): serves the read only when every
+    /// byte is local and `admit` agrees, see [`ReadPlane::try_read_local`].
+    /// `None` — the plane's lock is contended, some byte needs a backend
+    /// GET, `admit` refused, or the volume is shut down — is not counted
+    /// as a read, so the caller can fall back to the blocking read.
+    pub fn try_read_local(
+        &self,
+        offset: u64,
+        len: usize,
+        req: u64,
+        parent: u64,
+        admit: impl FnOnce() -> bool,
+    ) -> Option<Result<Bytes>> {
+        if self.closed.load(Ordering::Acquire) {
+            return None;
+        }
+        self.plane.try_read_local(offset, len, req, parent, admit)
+    }
+
     /// Serialized [`Volume::write`].
     pub fn write(&self, offset: u64, data: &[u8]) -> Result<()> {
         self.write_traced(offset, data, self.spans.mint_request(), 0)
@@ -269,6 +289,63 @@ mod tests {
         assert_eq!(&b[..], &[0xAB; 4096][..]);
         let zeros = sv.read_bytes(1 << 20, 4096).unwrap();
         assert!(zeros.iter().all(|&x| x == 0));
+    }
+
+    #[test]
+    fn try_read_local_declines_backend_reads_without_counting_them() {
+        let store = Arc::new(MemStore::new());
+        let cfg = VolumeConfig::small_for_tests;
+        let vol = Volume::create(
+            store.clone(),
+            Arc::new(RamDisk::new(16 << 20)),
+            "vol",
+            32 << 20,
+            cfg(),
+        )
+        .unwrap();
+        let sv = SharedVolume::new(vol);
+        sv.write(0, &[5u8; 4096]).unwrap();
+        sv.shutdown().unwrap();
+        // A fresh cache device: block 0 now lives only in the backend.
+        let vol = Volume::open(store, Arc::new(RamDisk::new(16 << 20)), "vol", cfg()).unwrap();
+        let sv = SharedVolume::new(vol);
+        let stats = |sv: &SharedVolume| sv.with_volume(|v| v.read_plane_stats()).unwrap();
+        let yes = || true;
+
+        let never = || -> bool { panic!("admission asked for a backend read") };
+        assert!(
+            sv.try_read_local(0, 4096, 0, 0, never).is_none(),
+            "needs a GET"
+        );
+        let s = stats(&sv);
+        assert_eq!((s.reads, s.hit_reads, s.miss_reads), (0, 0, 0));
+        // The blocking fallback counts the read once, as a miss, and
+        // admits the block to the read cache.
+        assert_eq!(&sv.read_bytes(0, 4096).unwrap()[..], &[5u8; 4096][..]);
+        let s = stats(&sv);
+        assert_eq!((s.reads, s.hit_reads, s.miss_reads), (1, 0, 1));
+        let hits = sv.cache_hit_sectors();
+
+        assert!(
+            sv.try_read_local(0, 4096, 0, 0, || false).is_none(),
+            "refused admission declines"
+        );
+        let b = sv.try_read_local(0, 4096, 0, 0, yes).unwrap().unwrap();
+        assert_eq!(&b[..], &[5u8; 4096][..]);
+        let z = sv
+            .try_read_local(1 << 20, 4096, 0, 0, yes)
+            .unwrap()
+            .unwrap();
+        assert!(z.iter().all(|&x| x == 0), "holes are local");
+        let s = stats(&sv);
+        assert_eq!((s.reads, s.hit_reads, s.miss_reads), (3, 2, 1));
+        assert_eq!(sv.cache_hit_sectors(), hits + 8);
+        assert!(matches!(
+            sv.try_read_local(100, 512, 0, 0, yes),
+            Some(Err(LsvdError::InvalidAccess { .. }))
+        ));
+        sv.shutdown().unwrap();
+        assert!(sv.try_read_local(0, 4096, 0, 0, yes).is_none(), "closed");
     }
 
     #[test]

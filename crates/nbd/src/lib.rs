@@ -6,7 +6,7 @@
 //! over `std::net` that exports any LSVD volume to the kernel's
 //! `nbd-client`, `qemu-nbd`, or the minimal in-tree [`client`].
 //!
-//! - [`server`] — [`serve`] / [`serve_fleet`]: a poll-based reactor
+//! - [`server`] — [`serve`] / [`serve_fleet`]: an epoll-based reactor
 //!   thread multiplexing every connection (fixed-newstyle handshake,
 //!   `NBD_OPT_GO` / `NBD_OPT_LIST` negotiation routed through an
 //!   [`lsvd::fleet::ExportRegistry`]) over a shared worker pool, with

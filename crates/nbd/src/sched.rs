@@ -24,6 +24,12 @@
 //! tenant's telemetry) and workers sleep until the earliest refill.
 //! Fenced (detaching) exports and server drain bypass the buckets so
 //! teardown is never throttled.
+//!
+//! Reads the reactor serves itself (read-cache hits, see `reactor.rs`)
+//! never enter a queue, but they pay the same toll:
+//! [`FleetScheduler::try_admit_inline`] debits the same bucket and deficit
+//! `pick` would, and sends the read to the queue whenever `pick` would
+//! have made it wait.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -78,6 +84,7 @@ impl Job {
         spans: Arc<SpanRing>,
         req_id: u64,
         parent_span: u64,
+        enqueued: Instant,
     ) -> Job {
         Job {
             conn,
@@ -85,7 +92,7 @@ impl Job {
             data,
             export,
             spans,
-            enqueued: Instant::now(),
+            enqueued,
             req_id,
             parent_span,
             throttle_counted: false,
@@ -130,7 +137,7 @@ impl Job {
 
     /// Byte cost charged to fairness and QoS accounting. Zero-length
     /// commands (FLUSH) still cost one sector so they cannot be free.
-    fn cost(&self) -> u64 {
+    pub(crate) fn cost(&self) -> u64 {
         u64::from(self.req.length).max(4096)
     }
 }
@@ -219,6 +226,11 @@ impl Tenant {
     fn queued(&self) -> usize {
         self.ordered.len() + self.reads.len()
     }
+
+    /// Has a job `pick` could dispatch, QoS permitting.
+    fn runnable(&self) -> bool {
+        !self.reads.is_empty() || (!self.ordered_active && !self.ordered.is_empty())
+    }
 }
 
 struct SchedState {
@@ -259,21 +271,7 @@ impl FleetScheduler {
     /// Enqueues `job` on its export's lane.
     pub(crate) fn push(&self, job: Job) {
         let mut s = self.state.lock().unwrap();
-        let name = job.export.name();
-        let idx = match s.tenants.iter().position(|t| t.export.name() == name) {
-            Some(i) => i,
-            None => {
-                s.tenants.push(Tenant {
-                    export: job.export.clone(),
-                    ordered: VecDeque::new(),
-                    reads: VecDeque::new(),
-                    ordered_active: false,
-                    deficit: QUANTUM,
-                    bucket: TokenBucket::new(Instant::now()),
-                });
-                s.tenants.len() - 1
-            }
-        };
+        let idx = Self::tenant(&mut s, &job.export);
         if job.is_mutation() {
             s.tenants[idx].ordered.push_back(job);
         } else {
@@ -292,8 +290,11 @@ impl FleetScheduler {
             Self::prune(&mut s);
             match Self::pick(&mut s, Instant::now()) {
                 PickOutcome::Job(p) => {
-                    // More work may be runnable for another worker.
-                    self.cv.notify_one();
+                    // Hand the rest to another worker — but only if there
+                    // is a rest; a wakeup that finds nothing is wasted.
+                    if s.tenants.iter().any(Tenant::runnable) {
+                        self.cv.notify_one();
+                    }
                     return Some(*p);
                 }
                 PickOutcome::Throttled(wait) => {
@@ -312,6 +313,41 @@ impl FleetScheduler {
                 }
             }
         }
+    }
+
+    /// Admission for a READ the reactor serves itself: debits `cost` from
+    /// the tenant's token bucket and DRR deficit exactly as `pick` would
+    /// for a queued read. Refuses (debiting nothing) when the read must
+    /// take the queue instead: the tenant already has reads queued (no
+    /// overtaking them), it is out of tokens (the queue counts and waits
+    /// out the throttle), its deficit is spent while another tenant with
+    /// runnable work still has credit, the export is fenced, or the
+    /// scheduler is stopping. Callers ask only once they know the read
+    /// can be served in place, so an admitted read is never handed back.
+    pub(crate) fn try_admit_inline(&self, export: &Arc<Export>, cost: u64) -> bool {
+        let mut s = self.state.lock().unwrap();
+        if s.stop || export.is_fenced() {
+            return false;
+        }
+        let i = Self::tenant(&mut s, export);
+        if !s.tenants[i].reads.is_empty() {
+            return false;
+        }
+        if s.tenants[i].deficit < 0 {
+            // `pick` recharges once no tenant with runnable work has
+            // credit left; until then the credited tenants go first.
+            if s.tenants.iter().any(|t| t.deficit >= 0 && t.runnable()) {
+                return false;
+            }
+            let debt = s.tenants[i].deficit;
+            Self::recharge(&mut s, debt);
+        }
+        let t = &mut s.tenants[i];
+        if t.bucket.admit(export.qos(), cost, Instant::now()).is_err() {
+            return false;
+        }
+        t.deficit -= cost as i64;
+        true
     }
 
     /// Unfreezes `export`'s ordered lane after an ordered job completes.
@@ -343,6 +379,36 @@ impl FleetScheduler {
             .sum()
     }
 
+    /// Index of `export`'s tenant, created on first use.
+    fn tenant(s: &mut SchedState, export: &Arc<Export>) -> usize {
+        let name = export.name();
+        if let Some(i) = s.tenants.iter().position(|t| t.export.name() == name) {
+            return i;
+        }
+        s.tenants.push(Tenant {
+            export: export.clone(),
+            ordered: VecDeque::new(),
+            reads: VecDeque::new(),
+            ordered_active: false,
+            deficit: QUANTUM,
+            bucket: TokenBucket::new(Instant::now()),
+        });
+        s.tenants.len() - 1
+    }
+
+    /// Runs as many DRR rounds as it takes to clear `debt` (at least
+    /// one): every tenant's deficit grows by a quantum per round, capped
+    /// at one quantum of credit. Clearing the debt at once matters after
+    /// a request far above the quantum: one round per wakeup would leave
+    /// its tenant's next jobs parked until unrelated work arrived.
+    fn recharge(s: &mut SchedState, debt: i64) {
+        let rounds = ((-debt).max(0) + QUANTUM - 1) / QUANTUM;
+        let credit = rounds.max(1) * QUANTUM;
+        for t in &mut s.tenants {
+            t.deficit = (t.deficit + credit).min(QUANTUM);
+        }
+    }
+
     /// Drops tenants that detached and drained, so the round-robin scan
     /// doesn't grow without bound across attach/detach cycles.
     fn prune(s: &mut SchedState) {
@@ -361,6 +427,8 @@ impl FleetScheduler {
         }
         let stop = s.stop;
         let mut min_wait: Option<Duration> = None;
+        // The smallest debt among tenants skipped for it.
+        let mut least_debt: Option<i64> = None;
         for pass in 0..2 {
             for k in 0..n {
                 let i = (s.next + k) % n;
@@ -377,6 +445,7 @@ impl FleetScheduler {
                 let internal = job.is_internal();
                 if t.deficit < 0 && !internal {
                     // Spent this round; recharged between passes.
+                    least_debt = Some(least_debt.map_or(t.deficit, |d| d.max(t.deficit)));
                     continue;
                 }
                 let cost = job.cost();
@@ -409,9 +478,7 @@ impl FleetScheduler {
                 }));
             }
             if pass == 0 {
-                for t in &mut s.tenants {
-                    t.deficit = (t.deficit + QUANTUM).min(QUANTUM);
-                }
+                Self::recharge(s, least_debt.unwrap_or(0));
             }
         }
         match min_wait {
@@ -464,6 +531,7 @@ mod tests {
             spans,
             0,
             0,
+            Instant::now(),
         )
     }
 
@@ -511,6 +579,23 @@ mod tests {
             small >= 5,
             "small tenant got {small}/10 dispatches against a heavy neighbour"
         );
+    }
+
+    #[test]
+    fn oversized_request_does_not_park_its_tenant() {
+        let (_reg, exports) = registry_with(&["t"]);
+        let sched = Arc::new(FleetScheduler::new());
+        // A maximal read overdraws the deficit by ~128 quanta; the next
+        // read must still dispatch without any other wakeup.
+        sched.push(job(&exports[0], CMD_READ, 32 << 20, 1));
+        assert_eq!(sched.pop().unwrap().job.req.cookie, 1);
+        sched.push(job(&exports[0], CMD_READ, 4096, 2));
+        let (tx, rx) = std::sync::mpsc::channel();
+        let s2 = sched.clone();
+        let worker = std::thread::spawn(move || tx.send(s2.pop().map(|p| p.job.req.cookie)));
+        let got = rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(got, Ok(Some(2)), "the second read stayed parked");
+        worker.join().unwrap().unwrap();
     }
 
     #[test]
@@ -605,6 +690,47 @@ mod tests {
         assert!(sched.pop().is_some());
         let snap = exports[0].recorders().snapshot();
         assert_eq!(snap.throttle_waits, 1, "counted exactly once");
+    }
+
+    #[test]
+    fn inline_admission_pays_the_same_bucket() {
+        let (_reg, exports) = registry_with(&["t"]);
+        exports[0].set_qos(QosLimits {
+            iops: 2,
+            bytes_per_sec: 0,
+        });
+        let sched = FleetScheduler::new();
+        assert!(sched.try_admit_inline(&exports[0], 4096));
+        assert!(sched.try_admit_inline(&exports[0], 4096));
+        assert!(
+            !sched.try_admit_inline(&exports[0], 4096),
+            "a one-second burst is all the bucket holds"
+        );
+        // The throttled read queues and waits out the refill there.
+        sched.push(job(&exports[0], CMD_READ, 4096, 1));
+        assert_eq!(sched.pop().unwrap().job.req.cookie, 1);
+        assert_eq!(exports[0].recorders().snapshot().throttle_waits, 1);
+    }
+
+    #[test]
+    fn inline_admission_keeps_queue_order_and_drr() {
+        let (_reg, exports) = registry_with(&["a", "b"]);
+        let sched = FleetScheduler::new();
+        sched.push(job(&exports[0], CMD_READ, 4096, 1));
+        assert!(
+            !sched.try_admit_inline(&exports[0], 4096),
+            "must not overtake a queued read"
+        );
+        assert_eq!(sched.pop().unwrap().job.req.cookie, 1);
+        // "a" overdraws its quantum inline, then "b" queues with credit.
+        assert!(sched.try_admit_inline(&exports[0], QUANTUM as u64));
+        sched.push(job(&exports[1], CMD_READ, 4096, 2));
+        assert!(!sched.try_admit_inline(&exports[0], 4096), "b goes first");
+        assert_eq!(sched.pop().unwrap().job.export.name(), "b");
+        // Nobody in credit is waiting: the round recharges, as in `pick`.
+        assert!(sched.try_admit_inline(&exports[0], 4096));
+        sched.set_stop();
+        assert!(!sched.try_admit_inline(&exports[0], 4096), "draining");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The NBD server: a shared poll-based reactor fronting a worker pool,
+//! The NBD server: a shared epoll-based reactor fronting a worker pool,
 //! serving every export in an [`ExportRegistry`].
 //!
 //! ## Threading model
@@ -13,16 +13,19 @@
 //! under deficit-round-robin fairness and per-export QoS token buckets.
 //! Workers execute against the export's
 //! [`SharedVolume`](lsvd::shared::SharedVolume) and post completions
-//! back to the reactor through a self-pipe waker.
+//! back to the reactor through a self-pipe waker. A READ whose bytes are
+//! all local skips the hop: the reactor serves it itself, through the
+//! same admission and the same serving routine (`dispatch`) a worker
+//! would use.
 //!
 //! Ordering: each export's mutations are dispatched one at a time in
 //! arrival order (the `ordered_active` latch), so per-export
 //! acknowledgement order equals cache-log order — the exported disk
 //! stays prefix-consistent through a crash. Reads overlap freely with
 //! each other and with the ordered stream via the volume's lock-split
-//! read plane. Backpressure is the per-connection in-flight window,
-//! enforced by the reactor simply not reading a connection at its
-//! window.
+//! read plane. Backpressure is the per-connection in-flight window and
+//! reply backlog, enforced by the reactor simply not reading a connection
+//! at either limit.
 //!
 //! [`serve`] keeps the classic single-volume API (it builds a one-entry
 //! registry); [`serve_fleet`] serves a whole registry, with named-export
@@ -194,6 +197,16 @@ pub fn serve_fleet(
         }));
     }
 
+    let reactor = Reactor::new(
+        listener,
+        waker_rx,
+        shared.clone(),
+        registry.clone(),
+        sched.clone(),
+        cfg.recorder.clone(),
+        cfg.window.max(1),
+        cfg.oneshot,
+    )?;
     let mut workers = Vec::new();
     // +1: even with read_workers == 1 there are two workers, so one
     // export's slow ordered job cannot stall every other tenant.
@@ -207,21 +220,9 @@ pub fn serve_fleet(
                 .spawn(move || worker_loop(&sched, &shared, recorder))?,
         );
     }
-    let reactor = {
-        let r = Reactor::new(
-            listener,
-            waker_rx,
-            shared.clone(),
-            registry.clone(),
-            sched.clone(),
-            cfg.recorder.clone(),
-            cfg.window.max(1),
-            cfg.oneshot,
-        );
-        std::thread::Builder::new()
-            .name("nbd-reactor".into())
-            .spawn(move || r.run())?
-    };
+    let reactor = std::thread::Builder::new()
+        .name("nbd-reactor".into())
+        .spawn(move || reactor.run())?;
     Ok(ServerHandle {
         addr: bound,
         shared,
@@ -239,12 +240,7 @@ fn worker_loop(
 ) {
     while let Some(picked) = sched.pop() {
         let export = picked.job.export.clone();
-        let internal = picked.job.is_internal();
         execute(picked.job, shared, recorder.as_ref());
-        if !internal {
-            // Internal lifecycle notes never went through `job_begin`.
-            export.job_done();
-        }
         if picked.ordered {
             sched.ordered_done(export.name());
         }
@@ -259,111 +255,39 @@ fn errno_of(e: &LsvdError) -> u32 {
     }
 }
 
-/// Services one job against its export's volume and posts the completion
-/// back to the reactor.
-fn execute(job: Job, shared: &Arc<ReactorShared>, recorder: Option<&Arc<FlightRecorder>>) {
-    let rec = job.export.recorders();
-    let volume = job.export.volume();
-    if let Some(event) = job.note {
-        // Connection-lifecycle note: may block on the volume mutex, which
-        // is why it runs here and not on the reactor thread. No reply, no
-        // per-request accounting; a shut-down volume just drops it.
-        let _ = volume.with_volume(|v| v.note_serving_event(event));
-        return;
-    }
-    rec.queue_wait
-        .record_ns(job.enqueued.elapsed().as_nanos() as u64);
-    let fua = job.req.flags & CMD_FLAG_FUA != 0;
-    // Dispatch span: queue wait is behind us, so this covers lane pickup
-    // through volume completion. Its id is the parent every volume-side
-    // hop (read / wlog append / flush / trim) hangs off.
+/// Serves one request job and records its serving telemetry — the one
+/// routine behind both the workers and the reactor's inline reads.
+///
+/// `body` runs the command, given the id of the `Dispatch` span (the
+/// parent of every volume-side hop). When it declines (`None`: an inline
+/// read that cannot be served in place) nothing is recorded and the job
+/// is untouched, so the caller can queue it. Otherwise this records the
+/// wait from `job.enqueued` to `start` as the queue wait (0 inline,
+/// where `start` is the decode's own clock reading), the service time
+/// from `start` and any error, finishes the span, dumps the black box on
+/// `EIO`, and calls the `job_done` that pairs with the `job_begin` the
+/// reactor took at decode.
+pub(crate) fn dispatch(
+    job: &Job,
+    start: Instant,
+    recorder: Option<&Arc<FlightRecorder>>,
+    body: impl FnOnce(u64) -> Option<(u32, Bytes)>,
+) -> Option<(u32, Bytes)> {
     let req = job.req_id;
-    let dispatch = if req != 0 {
-        job.spans.begin(req, job.parent_span, Stage::Dispatch)
+    let open = if req != 0 {
+        job.spans
+            .begin_at(req, job.parent_span, Stage::Dispatch, start)
     } else {
         None
     };
-    let parent = dispatch.map_or(0, |open| open.id);
-    let t0 = Instant::now();
-    let (error, data) = match job.req.cmd {
-        CMD_READ => {
-            rec.count_read();
-            if job.req.length > MAX_IO_BYTES {
-                (EINVAL, Bytes::new())
-            } else {
-                // Lock-free lane into the volume's read plane: cache hits
-                // run under its shared lock, concurrently across workers,
-                // and the payload reaches the socket as-is.
-                match volume.read_bytes_traced(job.req.offset, job.req.length as usize, req, parent)
-                {
-                    Ok(data) => {
-                        rec.add_bytes_read(data.len() as u64);
-                        (0, data)
-                    }
-                    Err(e) => (errno_of(&e), Bytes::new()),
-                }
-            }
-        }
-        CMD_WRITE => {
-            rec.count_write();
-            let res = if job.req.length > MAX_IO_BYTES {
-                Err(LsvdError::InvalidAccess {
-                    offset: job.req.offset,
-                    len: u64::from(job.req.length),
-                    reason: "request exceeds MAX_IO_BYTES",
-                })
-            } else {
-                volume
-                    .write_traced(job.req.offset, &job.data, req, parent)
-                    .and_then(|()| {
-                        if fua {
-                            rec.count_flush();
-                            volume.flush_traced(req, parent)
-                        } else {
-                            Ok(())
-                        }
-                    })
-            };
-            if res.is_ok() {
-                rec.add_bytes_written(job.data.len() as u64);
-            }
-            (res.err().map(|e| errno_of(&e)).unwrap_or(0), Bytes::new())
-        }
-        CMD_FLUSH => {
-            rec.count_flush();
-            let res = volume.flush_traced(req, parent);
-            (res.err().map(|e| errno_of(&e)).unwrap_or(0), Bytes::new())
-        }
-        CMD_TRIM => {
-            rec.count_trim();
-            let res = if job.req.length > MAX_IO_BYTES {
-                Err(LsvdError::InvalidAccess {
-                    offset: job.req.offset,
-                    len: u64::from(job.req.length),
-                    reason: "request exceeds MAX_IO_BYTES",
-                })
-            } else {
-                volume
-                    .discard_traced(job.req.offset, u64::from(job.req.length), req, parent)
-                    .and_then(|()| {
-                        if fua {
-                            rec.count_flush();
-                            volume.flush_traced(req, parent)
-                        } else {
-                            Ok(())
-                        }
-                    })
-            };
-            (res.err().map(|e| errno_of(&e)).unwrap_or(0), Bytes::new())
-        }
-        _ => {
-            rec.count_error();
-            (EINVAL, Bytes::new())
-        }
-    };
-    rec.service.record_ns(t0.elapsed().as_nanos() as u64);
-    if let Some(open) = dispatch {
-        job.spans.finish(open, u64::from(error), job.conn);
+    let (error, data) = body(open.map_or(0, |o| o.id))?;
+    let end = Instant::now();
+    let rec = job.export.recorders();
+    let queued = start.saturating_duration_since(job.enqueued);
+    rec.queue_wait.record_ns(queued.as_nanos() as u64);
+    rec.service.record_ns((end - start).as_nanos() as u64);
+    if let Some(open) = open {
+        job.spans.finish_at(open, end, u64::from(error), job.conn);
     }
     if error != 0 {
         rec.count_error();
@@ -375,6 +299,58 @@ fn execute(job: Job, shared: &Arc<ReactorShared>, recorder: Option<&Arc<FlightRe
             let _ = rec.dump("terminal-error");
         }
     }
+    job.export.job_done();
+    Some((error, data))
+}
+
+/// The READ command for [`dispatch`]: `read(offset, len)` produces the
+/// payload — the blocking read on a worker, the non-blocking local read
+/// on the reactor — or declines with `None` before anything is counted.
+pub(crate) fn read_arm(
+    job: &Job,
+    read: impl FnOnce(u64, usize) -> Option<lsvd::Result<Bytes>>,
+) -> Option<(u32, Bytes)> {
+    let rec = job.export.recorders();
+    if job.req.length > MAX_IO_BYTES {
+        rec.count_read();
+        return Some((EINVAL, Bytes::new()));
+    }
+    let res = read(job.req.offset, job.req.length as usize)?;
+    rec.count_read();
+    Some(match res {
+        Ok(data) => {
+            rec.add_bytes_read(data.len() as u64);
+            (0, data)
+        }
+        Err(e) => (errno_of(&e), Bytes::new()),
+    })
+}
+
+/// Services one job against its export's volume and posts the completion
+/// back to the reactor.
+fn execute(job: Job, shared: &Arc<ReactorShared>, recorder: Option<&Arc<FlightRecorder>>) {
+    let volume = job.export.volume();
+    if let Some(event) = job.note {
+        // Connection-lifecycle note: may block on the volume mutex, which
+        // is why it runs here and not on the reactor thread. No reply, no
+        // per-request accounting (it never took `job_begin`); a shut-down
+        // volume just drops it.
+        let _ = volume.with_volume(|v| v.note_serving_event(event));
+        return;
+    }
+    let (error, data) = dispatch(&job, Instant::now(), recorder, |parent| {
+        let req = job.req_id;
+        if job.req.cmd == CMD_READ {
+            // Cache hits run under the read plane's shared lock,
+            // concurrently across workers; misses fetch lock-free. The
+            // payload reaches the socket as-is.
+            return read_arm(&job, |offset, len| {
+                Some(volume.read_bytes_traced(offset, len, req, parent))
+            });
+        }
+        Some((mutate(&job, volume, parent), Bytes::new()))
+    })
+    .expect("worker commands never decline");
     shared.complete(Completion {
         conn: job.conn,
         cookie: job.req.cookie,
@@ -383,27 +359,111 @@ fn execute(job: Job, shared: &Arc<ReactorShared>, recorder: Option<&Arc<FlightRe
     });
 }
 
+/// The WRITE / FLUSH / TRIM (and unknown-command) arms of [`execute`]:
+/// returns the reply error.
+fn mutate(job: &Job, volume: &SharedVolume, parent: u64) -> u32 {
+    let rec = job.export.recorders();
+    let req = job.req_id;
+    let fua = job.req.flags & CMD_FLAG_FUA != 0;
+    let too_big = || LsvdError::InvalidAccess {
+        offset: job.req.offset,
+        len: u64::from(job.req.length),
+        reason: "request exceeds MAX_IO_BYTES",
+    };
+    let then_fua = |res: lsvd::Result<()>| {
+        res.and_then(|()| {
+            if fua {
+                rec.count_flush();
+                volume.flush_traced(req, parent)
+            } else {
+                Ok(())
+            }
+        })
+    };
+    let res = match job.req.cmd {
+        CMD_WRITE => {
+            rec.count_write();
+            let res = if job.req.length > MAX_IO_BYTES {
+                Err(too_big())
+            } else {
+                then_fua(volume.write_traced(job.req.offset, &job.data, req, parent))
+            };
+            if res.is_ok() {
+                rec.add_bytes_written(job.data.len() as u64);
+            }
+            res
+        }
+        CMD_FLUSH => {
+            rec.count_flush();
+            volume.flush_traced(req, parent)
+        }
+        CMD_TRIM => {
+            rec.count_trim();
+            if job.req.length > MAX_IO_BYTES {
+                Err(too_big())
+            } else {
+                then_fua(volume.discard_traced(
+                    job.req.offset,
+                    u64::from(job.req.length),
+                    req,
+                    parent,
+                ))
+            }
+        }
+        _ => {
+            rec.count_error();
+            return EINVAL;
+        }
+    };
+    res.err().map(|e| errno_of(&e)).unwrap_or(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::reactor::IN_CAP;
     use blkdev::RamDisk;
     use lsvd::config::VolumeConfig;
     use lsvd::volume::Volume;
     use objstore::MemStore;
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::Duration;
 
     fn shared_volume(size_mb: u64) -> SharedVolume {
+        volume_with(size_mb, 16, VolumeConfig::small_for_tests())
+    }
+
+    fn volume_with(size_mb: u64, cache_mb: u64, cfg: VolumeConfig) -> SharedVolume {
         let store = Arc::new(MemStore::new());
-        let dev = Arc::new(RamDisk::new(16 << 20));
-        let vol = Volume::create(
-            store,
-            dev,
-            "vol",
-            size_mb << 20,
-            VolumeConfig::small_for_tests(),
-        )
-        .unwrap();
-        SharedVolume::new(vol)
+        let dev = Arc::new(RamDisk::new(cache_mb << 20));
+        SharedVolume::new(Volume::create(store, dev, "vol", size_mb << 20, cfg).unwrap())
+    }
+
+    /// Deterministic test bytes for `len` bytes at volume offset `off`.
+    fn pattern(off: u64, len: usize) -> Vec<u8> {
+        (off..off + len as u64)
+            .map(|x| (x ^ (x >> 9) ^ (x >> 17)) as u8)
+            .collect()
+    }
+
+    fn send_read(stream: &mut TcpStream, cookie: u64, offset: u64, length: u32) {
+        let req = Request {
+            flags: 0,
+            cmd: CMD_READ,
+            cookie,
+            offset,
+            length,
+        };
+        stream.write_all(&encode_request(&req)).unwrap();
+    }
+
+    fn recv_reply(stream: &mut TcpStream) -> SimpleReply {
+        let mut hdr = [0u8; SIMPLE_REPLY_LEN];
+        stream.read_exact(&mut hdr).unwrap();
+        decode_simple_reply(&hdr).expect("reply magic")
     }
 
     #[test]
@@ -584,6 +644,327 @@ mod tests {
             assert_eq!(buf, [i as u8; 4096], "block {i}");
         }
         drop(raw);
+        handle.stop();
+        sv.shutdown().unwrap();
+    }
+
+    /// A writer thread pipelines `sent` reads of `len` bytes over 4 MiB
+    /// and never reads a reply: the server must stop parsing once
+    /// `IN_CAP` bytes of replies wait, then deliver all of them once the
+    /// client drains.
+    fn reply_backlog_case(len: u64, sent: u64) {
+        const MIB: u64 = 1 << 20;
+        let sv = volume_with(32, 64, VolumeConfig::default());
+        for i in 0..4 {
+            sv.write(i * MIB, &pattern(i * MIB, MIB as usize)).unwrap();
+        }
+        let cfg = ServerConfig {
+            window: 4,
+            ..ServerConfig::default()
+        };
+        let handle = serve("127.0.0.1:0", "vol", sv.clone(), cfg).unwrap();
+        let mut reader = Client::connect(handle.addr(), "vol").unwrap().into_raw();
+        let mut w = reader.try_clone().unwrap();
+        let at = move |i: u64| (i * len) % (4 * MIB);
+        let writer = std::thread::spawn(move || {
+            for i in 0..sent {
+                send_read(&mut w, i, at(i), len as u32);
+            }
+        });
+        // The server may parse until IN_CAP bytes of replies wait for
+        // the client, plus what its window has in flight and what the
+        // socket buffers took (16 MiB): then it must stop reading.
+        let bound = (IN_CAP as u64).div_ceil(len) + 4 + (16 * MIB).div_ceil(len);
+        assert!(sent > bound, "the client must overrun the bound");
+        let served = || handle.recorders().snapshot().reads;
+        let (mut last, mut since) = (u64::MAX, Instant::now());
+        while since.elapsed() < Duration::from_millis(500) {
+            std::thread::sleep(Duration::from_millis(20));
+            let now = served();
+            assert!(
+                now <= bound,
+                "{now} replies queued for a client that reads none (bound {bound})"
+            );
+            if now != last {
+                (last, since) = (now, Instant::now());
+            }
+        }
+        // The client drains: every reply arrives once, byte-exact. (Reads
+        // served on the workers may finish out of order; NBD matches
+        // replies by cookie.)
+        let mut buf = vec![0u8; len as usize];
+        let mut seen = vec![false; sent as usize];
+        for _ in 0..sent {
+            let reply = recv_reply(&mut reader);
+            let i = reply.cookie;
+            assert_eq!(reply.error, 0, "reply {i}");
+            assert!(
+                !std::mem::replace(&mut seen[i as usize], true),
+                "reply {i} twice"
+            );
+            reader.read_exact(&mut buf).unwrap();
+            assert!(buf == pattern(at(i), len as usize), "reply {i}");
+        }
+        writer.join().unwrap();
+        drop(reader);
+        handle.stop();
+        sv.shutdown().unwrap();
+    }
+
+    #[test]
+    fn reply_backlog_stops_reading_a_client_that_never_drains() {
+        // 1 MiB reads run on the workers.
+        reply_backlog_case(1 << 20, 128);
+    }
+
+    #[test]
+    fn reply_backlog_bounds_inline_hits_too() {
+        // 128 KiB hits are served on the reactor and never hold a window
+        // slot: only the reply bound stops them.
+        reply_backlog_case(128 << 10, 1536);
+    }
+
+    /// A host-file cache device whose every flush takes 20 ms, like a
+    /// slow SSD's cache flush.
+    struct SlowSyncDisk(blkdev::FileDisk);
+
+    impl blkdev::BlockDevice for SlowSyncDisk {
+        fn capacity(&self) -> u64 {
+            self.0.capacity()
+        }
+        fn read_at(&self, offset: u64, buf: &mut [u8]) -> blkdev::Result<()> {
+            self.0.read_at(offset, buf)
+        }
+        fn write_at(&self, offset: u64, data: &[u8]) -> blkdev::Result<()> {
+            self.0.write_at(offset, data)
+        }
+        fn flush(&self) -> blkdev::Result<()> {
+            std::thread::sleep(Duration::from_millis(20));
+            self.0.flush()
+        }
+    }
+
+    #[test]
+    fn inline_hits_do_not_wait_for_another_tenants_fsync() {
+        // Both tenants' caches are host files, as under `lsvdctl serve`.
+        let dir = std::env::temp_dir().join(format!("nbd-fsync-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let registry = Arc::new(ExportRegistry::new(None));
+        for name in ["a", "b"] {
+            let dev = blkdev::FileDisk::create(dir.join(name), 32 << 20).unwrap();
+            let vol = Volume::create(
+                Arc::new(MemStore::new()),
+                Arc::new(SlowSyncDisk(dev)),
+                name,
+                16 << 20,
+                VolumeConfig::small_for_tests(),
+            )
+            .unwrap();
+            registry
+                .attach(name, SharedVolume::new(vol), QosLimits::default())
+                .unwrap();
+        }
+        let handle = serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
+        let addr = handle.addr();
+        let mut b = Client::connect(addr, "b").unwrap();
+        b.write(0, &[0xB0; 65536]).unwrap();
+
+        // Tenant A: one connection writes and FLUSHes (an fdatasync of
+        // A's cache file) back to back; another reads A's blocks, which
+        // the reactor serves from that same file.
+        let stop = Arc::new(AtomicBool::new(false));
+        let flusher = {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let mut a = Client::connect(addr, "a").unwrap();
+                let data = vec![0xA0u8; 1 << 20];
+                let mut flushes = Vec::new();
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    a.write((i % 8) * (1 << 20), &data).unwrap();
+                    let t = Instant::now();
+                    a.flush().unwrap();
+                    flushes.push(t.elapsed());
+                    i += 1;
+                }
+                a.disconnect().unwrap();
+                flushes
+            })
+        };
+        let reader = {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                let mut a = Client::connect(addr, "a").unwrap();
+                let mut buf = [0u8; 4096];
+                let mut i = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    a.read((i % 2048) * 4096, &mut buf).unwrap();
+                    i += 1;
+                }
+                a.disconnect().unwrap();
+            })
+        };
+
+        // Tenant B: 4 KiB read hits, timed.
+        let mut lat = Vec::new();
+        let mut buf = [0u8; 4096];
+        let t0 = Instant::now();
+        let mut i = 0u64;
+        while t0.elapsed() < Duration::from_secs(1) {
+            let t = Instant::now();
+            b.read((i % 16) * 4096, &mut buf).unwrap();
+            lat.push(t.elapsed());
+            assert_eq!(buf, [0xB0; 4096]);
+            i += 1;
+        }
+        stop.store(true, Ordering::Relaxed);
+        let flushes = flusher.join().unwrap();
+        reader.join().unwrap();
+        // Were the reactor to wait on A's device while it flushes, about
+        // one B read per flush would take most of a flush.
+        assert!(flushes.len() >= 10 && flushes.iter().all(|f| f.as_millis() >= 20));
+        let stalls = lat.iter().filter(|l| l.as_millis() >= 10).count();
+        assert!(
+            stalls * 4 < flushes.len(),
+            "{stalls} b reads of 10 ms or more beside {} flushes",
+            flushes.len()
+        );
+
+        b.disconnect().unwrap();
+        handle.stop();
+        for name in registry.list() {
+            registry.detach(&name).unwrap();
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn qos_limits_inline_cache_hits() {
+        let registry = Arc::new(ExportRegistry::new(None));
+        let export = registry
+            .attach("q", shared_volume(16), QosLimits::default())
+            .unwrap();
+        let handle = serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
+        let mut c = Client::connect(handle.addr(), "q").unwrap();
+        c.write(0, &[6u8; 65536]).unwrap();
+        export.set_qos(QosLimits {
+            iops: 200,
+            bytes_per_sec: 0,
+        });
+        let t0 = Instant::now();
+        let mut n = 0u64;
+        let mut buf = [0u8; 4096];
+        while t0.elapsed() < Duration::from_secs(1) {
+            c.read((n % 16) * 4096, &mut buf).unwrap();
+            assert_eq!(buf, [6u8; 4096]);
+            n += 1;
+        }
+        let limit = 200.0 * t0.elapsed().as_secs_f64() + 200.0 + 1.0;
+        assert!(
+            n as f64 <= limit,
+            "{n} hits served against a limit of {limit:.0}"
+        );
+        assert!(export.recorders().snapshot().throttle_waits > 0);
+        c.disconnect().unwrap();
+        handle.stop();
+        registry.detach("q").unwrap();
+    }
+
+    #[test]
+    fn reads_on_fenced_or_shut_down_exports_fail_with_eio() {
+        let registry = Arc::new(ExportRegistry::new(None));
+        let fenced = registry
+            .attach("fenced", shared_volume(16), QosLimits::default())
+            .unwrap();
+        let closed = registry
+            .attach("closed", shared_volume(16), QosLimits::default())
+            .unwrap();
+        let handle = serve_fleet("127.0.0.1:0", registry.clone(), ServerConfig::default()).unwrap();
+        let mut f = Client::connect(handle.addr(), "fenced").unwrap();
+        let mut c = Client::connect(handle.addr(), "closed").unwrap();
+        let mut buf = [0u8; 4096];
+        for cl in [&mut f, &mut c] {
+            cl.write(0, &[1u8; 4096]).unwrap();
+            cl.read(0, &mut buf).unwrap();
+        }
+        let eio = format!("nbd error {EIO} ");
+
+        // Shut down under a live export: the local read declines, the
+        // worker's read fails.
+        closed.volume().shutdown().unwrap();
+        let err = c.read(0, &mut buf).unwrap_err();
+        assert!(err.to_string().starts_with(&eio), "{err}");
+
+        // Fenced: with the registry's nudge muted the reactor does not
+        // drain the connection, so the read meets the fence itself.
+        registry.set_notify(Box::new(|| {}));
+        registry.detach("fenced").unwrap();
+        let err = f.read(0, &mut buf).unwrap_err();
+        assert!(err.to_string().starts_with(&eio), "{err}");
+
+        for e in [&fenced, &closed] {
+            assert_eq!(e.inflight(), 0, "{}: job_begin/job_done balanced", e.name());
+            assert_eq!(e.recorders().snapshot().errors, 1, "{}", e.name());
+        }
+        handle.stop();
+        registry.detach("closed").unwrap();
+    }
+
+    #[test]
+    fn write_acked_on_one_connection_is_read_on_another() {
+        let sv = shared_volume(16);
+        let handle = serve("127.0.0.1:0", "vol", sv.clone(), ServerConfig::default()).unwrap();
+        let mut a = Client::connect(handle.addr(), "vol").unwrap();
+        let mut b = Client::connect(handle.addr(), "vol").unwrap();
+        let mut buf = [0u8; 4096];
+        for round in 1..=3u8 {
+            for i in 0..32u64 {
+                let v = round.wrapping_mul(37).wrapping_add(i as u8);
+                a.write(i * 4096, &[v; 4096]).unwrap();
+                b.read(i * 4096, &mut buf).unwrap();
+                assert_eq!(buf, [v; 4096], "round {round} block {i}");
+            }
+        }
+        a.disconnect().unwrap();
+        b.disconnect().unwrap();
+        handle.stop();
+        sv.shutdown().unwrap();
+    }
+
+    #[test]
+    fn max_size_read_reaches_a_slow_reader_byte_exact() {
+        const LEN: usize = MAX_IO_BYTES as usize;
+        let sv = volume_with(64, 128, VolumeConfig::default());
+        for off in (0..LEN as u64).step_by(1 << 20) {
+            sv.write(off, &pattern(off, 1 << 20)).unwrap();
+        }
+        let handle = serve("127.0.0.1:0", "vol", sv.clone(), ServerConfig::default()).unwrap();
+        let mut s = Client::connect(handle.addr(), "vol").unwrap().into_raw();
+        // Two maximal replies with a small one between them, so partial
+        // writes cut inside and across queued replies.
+        let reads = [(1u64, 0u64, LEN), (2, 4096, 8192), (3, 0, LEN)];
+        for &(cookie, off, len) in &reads {
+            send_read(&mut s, cookie, off, len as u32);
+        }
+        let mut seen = Vec::new();
+        for _ in 0..reads.len() {
+            let reply = recv_reply(&mut s);
+            assert_eq!(reply.error, 0);
+            let &(_, off, len) = reads.iter().find(|r| r.0 == reply.cookie).unwrap();
+            // Take the payload in small, slow bites.
+            let mut got = vec![0u8; len];
+            for (k, chunk) in got.chunks_mut(256 << 10).enumerate() {
+                s.read_exact(chunk).unwrap();
+                if k % 16 == 0 {
+                    std::thread::sleep(Duration::from_millis(2));
+                }
+            }
+            assert!(got == pattern(off, len), "reply {} differs", reply.cookie);
+            seen.push(reply.cookie);
+        }
+        seen.sort_unstable();
+        assert_eq!(seen, [1, 2, 3]);
+        drop(s);
         handle.stop();
         sv.shutdown().unwrap();
     }

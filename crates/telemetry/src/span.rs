@@ -252,7 +252,14 @@ impl SpanRing {
 
     /// Microseconds of wall-clock time since the ring was created.
     pub fn now_us(&self) -> u64 {
-        self.start.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+        self.us_at(Instant::now())
+    }
+
+    /// Microseconds from the ring's creation to `at`.
+    fn us_at(&self, at: Instant) -> u64 {
+        at.saturating_duration_since(self.start)
+            .as_micros()
+            .min(u128::from(u64::MAX)) as u64
     }
 
     /// Opens a span at the current clock. Returns `None` when tracing is
@@ -263,12 +270,22 @@ impl SpanRing {
         if !self.enabled() {
             return None;
         }
+        self.begin_at(req, parent, stage, Instant::now())
+    }
+
+    /// [`SpanRing::begin`] at `at`, a clock reading the caller already
+    /// holds (e.g. the start of a latency measurement): a clock read is
+    /// most of a span's cost, so adjacent hops should share one.
+    pub fn begin_at(&self, req: u64, parent: u64, stage: Stage, at: Instant) -> Option<OpenSpan> {
+        if !self.enabled() {
+            return None;
+        }
         Some(OpenSpan {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             parent,
             req,
             stage,
-            t_start_us: self.now_us(),
+            t_start_us: self.us_at(at),
             virt: self.virt(),
         })
     }
@@ -276,13 +293,19 @@ impl SpanRing {
     /// Closes `open` at the current clock and records it. Returns the
     /// span id (usable as a parent for child hops).
     pub fn finish(&self, open: OpenSpan, arg_a: u64, arg_b: u64) -> u64 {
+        self.finish_at(open, Instant::now(), arg_a, arg_b)
+    }
+
+    /// [`SpanRing::finish`] at `at`, a clock reading the caller already
+    /// holds (see [`SpanRing::begin_at`]).
+    pub fn finish_at(&self, open: OpenSpan, at: Instant, arg_a: u64, arg_b: u64) -> u64 {
         let span = Span {
             id: open.id,
             parent: open.parent,
             req: open.req,
             stage: open.stage,
             t_start_us: open.t_start_us,
-            t_end_us: self.now_us(),
+            t_end_us: self.us_at(at),
             virt: open.virt,
             arg_a,
             arg_b,
@@ -420,6 +443,29 @@ mod tests {
         assert!(spans.iter().all(|s| s.t_end_us >= s.t_start_us));
         assert_eq!(ring.recorded(), 2);
         assert_eq!(ring.dropped(), 0);
+    }
+
+    #[test]
+    fn shared_clock_readings_stamp_adjacent_spans() {
+        let ring = SpanRing::new(64, 4);
+        ring.set_enabled(true);
+        let req = ring.mint_request();
+        let t0 = Instant::now();
+        let t1 = t0 + std::time::Duration::from_micros(250);
+        let t2 = t1 + std::time::Duration::from_micros(40);
+        let a = ring.begin_at(req, 0, Stage::Decode, t0).unwrap();
+        let a_id = ring.finish_at(a, t1, 0, 0);
+        let b = ring.begin_at(req, a_id, Stage::Dispatch, t1).unwrap();
+        ring.finish_at(b, t2, 0, 0);
+        let spans = ring.snapshot();
+        assert_eq!(
+            spans[0].t_end_us, spans[1].t_start_us,
+            "one reading, two stamps"
+        );
+        assert_eq!(spans[0].t_end_us - spans[0].t_start_us, 250);
+        assert_eq!(spans[1].t_end_us - spans[1].t_start_us, 40);
+        ring.set_enabled(false);
+        assert!(ring.begin_at(req, 0, Stage::Read, t2).is_none());
     }
 
     #[test]

@@ -48,6 +48,19 @@ noise-tolerant 4x bound: the quick budget fits only a couple of 64-vol
 iterations, so cold caches and first-touch page faults dominate its
 side of the ratio.
 
+Two serving-plane bars ride the same pair mechanism:
+
+- `nbd/randread_4K_loopback` vs `nbd/loopback_floor_4K` (a bare
+  loopback TCP exchange shaped like a 4K NBD read) compares *p50*: a
+  read-cache hit served over NBD must cost at most 2x the socket floor
+  in the committed baseline.
+- `fleet/conn_scale_512` vs `fleet/conn_scale_64` compares mean
+  ns_per_iter: one round trip with 512 idle connections open must cost
+  at most 1.3x the same with 64 in the committed baseline.
+
+Fresh quick runs get noise-tolerant bounds (3x and 2x): their loopback
+round trips run a few thousand iterations on a shared host.
+
 A benchmark fails the gate when its fresh ns_per_iter exceeds
 baseline * tolerance (default 2x: quick mode on shared CI runners is
 noisy, so the gate only catches order-of-magnitude regressions such as
@@ -108,6 +121,17 @@ FLEET_PAIR = ("fleet/aggregate_write_4K_64vol", "fleet/aggregate_write_4K_1vol")
 FLEET_VOLS = 64
 FLEET_BASELINE_BOUND = 1 / 0.85
 FLEET_FRESH_BOUND = 4.0
+
+# Serving-plane bars: an NBD read-cache hit within 2x of the bare
+# loopback floor (p50), and the reactor's per-round cost flat in idle
+# connections (512 vs 64, mean). Strict on the committed baseline,
+# noise-tolerant on fresh quick runs.
+READ_FLOOR_PAIR = ("nbd/randread_4K_loopback", "nbd/loopback_floor_4K")
+READ_FLOOR_BASELINE_BOUND = 2.0
+READ_FLOOR_FRESH_BOUND = 3.0
+CONN_SCALE_PAIR = ("fleet/conn_scale_512", "fleet/conn_scale_64")
+CONN_SCALE_BASELINE_BOUND = 1.3
+CONN_SCALE_FRESH_BOUND = 2.0
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -302,6 +326,18 @@ def main() -> int:
         ("gc victim GETs (fresh)", fresh, False),
     ]:
         check_count(failures, results, label, GC_READS, GC_READS_BOUND, required)
+
+    for label, results, field, pair, bound, required in [
+        ("nbd hit/floor p50 (baseline)", baseline, "p50_ns", READ_FLOOR_PAIR,
+         READ_FLOOR_BASELINE_BOUND, True),
+        ("nbd hit/floor p50 (fresh)", fresh, "p50_ns", READ_FLOOR_PAIR,
+         READ_FLOOR_FRESH_BOUND, False),
+        ("conn 512/64 (baseline)", baseline, "ns_per_iter", CONN_SCALE_PAIR,
+         CONN_SCALE_BASELINE_BOUND, True),
+        ("conn 512/64 (fresh)", fresh, "ns_per_iter", CONN_SCALE_PAIR,
+         CONN_SCALE_FRESH_BOUND, False),
+    ]:
+        check_pair(failures, results, label, pair, field, bound, required)
 
     # Fleet scaling gate: per-op cost at 64 tenants vs 1, strict on the
     # committed baseline, noise-tolerant on fresh quick runs.
