@@ -136,9 +136,14 @@ impl BatchBuilder {
         self.trims.len()
     }
 
-    /// Live payload bytes currently in the batch.
+    /// Live payload bytes currently in the batch. Every accepted byte is
+    /// live until an overwrite or a trim counts it as merged, so this is
+    /// the map's mapped length without walking the map — the write path
+    /// asks on every write.
     pub fn live_bytes(&self) -> u64 {
-        self.map.mapped_len() * SECTOR
+        let live = self.accepted_bytes - self.merged_bytes;
+        debug_assert_eq!(live, self.map.mapped_len() * SECTOR);
+        live
     }
 
     /// Total bytes accepted (before coalescing).

@@ -69,18 +69,20 @@ pub struct VolumeConfig {
     /// cleaner read pauses the pass, and a `RetryStore` layered under the
     /// volume adds per-call retries.
     pub gc_retry_attempts: u32,
-    /// Writeback worker threads shipping sealed batches to the backend.
-    /// `0` keeps the fully serial path: every PUT happens inline on the
-    /// caller's thread (deterministic; used by most unit tests). With
-    /// `n > 0` threads, sealed batches are handed to a worker pool and the
+    /// Worker threads of the writeback pool that ships sealed batches to
+    /// the backend. Both settings run the same writeback engine. With `0`
+    /// the pool has no workers: each PUT runs inline on the caller's
+    /// thread and is applied in the call that issued it, one at a time
+    /// (deterministic; used by most unit tests). With `n > 0` threads the
     /// foreground keeps accepting writes while PUTs are in flight (§3.1's
     /// pipelined write path).
     pub writeback_threads: usize,
-    /// Bound on concurrently in-flight batch PUTs when pipelined
-    /// (`writeback_threads > 0`). Completions may arrive out of order; the
-    /// volume still applies them to the object map in strict sequence
-    /// order (the durable-frontier rule), so this only controls overlap,
-    /// never visibility. Must not exceed `max_pending_batches`.
+    /// Bound on concurrently in-flight batch PUTs when the pool has
+    /// workers (`writeback_threads > 0`; an inline pool holds one).
+    /// Completions may arrive out of order; the volume still applies them
+    /// to the object map in strict sequence order (the durable-frontier
+    /// rule), so this only controls overlap, never visibility. Must not
+    /// exceed `max_pending_batches`.
     pub max_inflight_puts: usize,
     /// When set, the volume wraps the provided store in a
     /// [`RetryStore`](objstore::RetryStore) with this policy and

@@ -3,10 +3,8 @@
 //! The paper's deployment model (§3.1) has one cache SSD and one backend
 //! shared by *many* virtual disks per host. This module provides the
 //! control plane for that node: an [`ExportRegistry`] maps export names to
-//! live [`SharedVolume`]s, all drawing from one shared
-//! [`WritebackPool`](crate::writeback::WritebackPool) (each volume on its
-//! own completion channel) and each holding a byte quota slice of the
-//! node's read-cache budget (ECI-Cache-style partitioning, enforced by
+//! live [`SharedVolume`]s, each holding a byte quota slice of the node's
+//! read-cache budget (ECI-Cache-style partitioning, enforced by
 //! [`ReadPlane`](crate::read_plane::ReadPlane) admission).
 //!
 //! Lifecycle: exports are **attached** (existing image opened or wrapped)
@@ -150,10 +148,9 @@ pub struct ExportRegistry {
 }
 
 impl ExportRegistry {
-    /// An empty registry. `pool` is the node's shared writeback pool;
-    /// volumes attached here should have been opened via
-    /// [`Volume::open_in_pool`](crate::volume::Volume::open_in_pool) on
-    /// the same pool (the registry does not enforce this).
+    /// An empty registry. `pool` is only held and handed back by
+    /// [`ExportRegistry::pool`]: every volume runs its own writeback pool,
+    /// so callers pass `None`.
     pub fn new(pool: Option<Arc<WritebackPool>>) -> ExportRegistry {
         ExportRegistry {
             exports: RwLock::new(HashMap::new()),
@@ -163,7 +160,7 @@ impl ExportRegistry {
         }
     }
 
-    /// The node's shared writeback pool, if pipelined.
+    /// The pool passed to [`ExportRegistry::new`], if any.
     pub fn pool(&self) -> Option<&Arc<WritebackPool>> {
         self.pool.as_ref()
     }

@@ -383,9 +383,9 @@ pub struct ReadPlane {
     /// reaches its allocation — ECI-Cache-style partitioning. Adjustable
     /// at runtime by the fleet rebalancer.
     cache_quota_sectors: AtomicU64,
-    /// Writeback pool handle for scatter-gather prefetch GETs; `None` in
-    /// serial mode.
-    pool: Option<Arc<WritebackPool>>,
+    /// Writeback pool for scatter-gather prefetch GETs (used only with
+    /// two or more workers).
+    pool: Arc<WritebackPool>,
     state: RwLock<ReadState>,
     hdr: Mutex<HdrCache>,
     inflight: Mutex<HashMap<ObjSeq, Arc<FetchSlot>>>,
@@ -411,7 +411,7 @@ impl ReadPlane {
         cfg: &VolumeConfig,
         rcache: ReadCache,
         objmap: ObjectMap,
-        pool: Option<Arc<WritebackPool>>,
+        pool: Arc<WritebackPool>,
         spans: Arc<SpanRing>,
     ) -> ReadPlane {
         ReadPlane {
@@ -938,7 +938,7 @@ impl ReadPlane {
     }
 
     /// Fetches object sectors `[lo, hi)` of `seq`'s data area with one
-    /// ranged GET (scattered over the writeback pool when pipelined) and
+    /// ranged GET (scattered over the writeback pool's workers) and
     /// returns `(window start sector, bytes)`. With `verify_get_crc` the
     /// window is widened to whole extents and checked against the header
     /// CRCs, so the window may start before `lo`. Nothing is admitted to
@@ -1088,7 +1088,7 @@ impl ReadPlane {
     /// arrive with worker-computed CRCs folded into one window checksum
     /// (`Some`); the serial path leaves checksumming to the caller.
     fn fetch_ranged(&self, name: &str, offset: u64, len: u64) -> Result<(Bytes, Option<u32>)> {
-        let threads = self.pool.as_ref().map_or(0, |p| p.threads()) as u64;
+        let threads = self.pool.threads() as u64;
         if threads < 2 || len < 2 * SCATTER_CHUNK {
             return Ok((self.store.get_range(name, offset, len)?, None));
         }
@@ -1101,12 +1101,11 @@ impl ReadPlane {
             ranges.push((offset + off, l));
             off += l;
         }
-        let pool = self.pool.as_ref().expect("pipelined");
         self.counters.scatter_gets.fetch_add(1, Ordering::Relaxed);
         let mut buf = Vec::with_capacity(len as usize);
         if self.verify_get_crc {
             let mut crc: Option<u32> = None;
-            for p in pool.get_scatter_crc(name, &ranges) {
+            for p in self.pool.get_scatter_crc(name, &ranges) {
                 let (part, part_crc) = p?;
                 crc = Some(match crc {
                     None => part_crc,
@@ -1121,7 +1120,7 @@ impl ReadPlane {
             }
             Ok((Bytes::from(buf), crc))
         } else {
-            for p in pool.get_scatter(name, &ranges) {
+            for p in self.pool.get_scatter(name, &ranges) {
                 buf.extend_from_slice(&p?);
             }
             Ok((Bytes::from(buf), None))

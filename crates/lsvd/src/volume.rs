@@ -47,13 +47,13 @@ use crate::objfmt::{self, Superblock};
 use crate::objmap::{ObjLoc, ObjectMap};
 use crate::rcache::ReadCache;
 use crate::read_plane::ReadPlane;
-use crate::recovery;
+use crate::recovery::{self, RecoveredBackend};
 use crate::types::{
     bytes_to_sectors, checkpoint_name, object_name, superblock_name, Lba, LsvdError, ObjSeq,
     Result, SECTOR,
 };
 use crate::wlog::{RecordInfo, WriteLog};
-use crate::writeback::{DurableFrontier, PoolChannel, WritebackPool};
+use crate::writeback::{DurableFrontier, PutCompletion, WritebackPool};
 
 /// Cache-device superblock location and size (sectors).
 const CACHE_SB_SECTORS: u64 = 8;
@@ -73,15 +73,6 @@ const TRACE_RING_EVENTS: usize = 4096;
 /// 4-connection burst (each request records 2–5 spans).
 const SPAN_RING_CAPACITY: usize = 8192;
 const SPAN_RING_SHARDS: usize = 8;
-
-/// Result of attempting to drain the pending-batch queue.
-enum FlushOutcome {
-    /// The queue is empty; cache and backend are synchronized.
-    Drained,
-    /// A transient backend failure stopped the drain; the queue (and the
-    /// error that stalled it) are preserved.
-    Stalled(ObjError),
-}
 
 /// A sealed unit awaiting its backend PUT: a foreground data batch or a
 /// GC relocation carrier. Both claim sequence numbers from the same
@@ -270,18 +261,21 @@ pub struct Volume {
     plane: Arc<ReadPlane>,
     batch: BatchBuilder,
     /// Sealed batches awaiting PUT, oldest first. Normally the queue is
-    /// empty (a batch is PUT as soon as it seals); it grows only while the
-    /// backend fails transiently — degraded mode. Batches are shipped
-    /// strictly in sequence order; the queue is bounded by
-    /// `VolumeConfig::max_pending_batches`, past which writes that would
-    /// seal another batch fail with [`LsvdError::Backpressure`].
+    /// empty (a batch is submitted as soon as it seals); it grows while
+    /// the in-flight window is full or the backend fails transiently —
+    /// degraded mode. Batches are shipped strictly in sequence order; the
+    /// queue is bounded by `VolumeConfig::max_pending_batches`, past which
+    /// writes that would seal another batch fail with
+    /// [`LsvdError::Backpressure`].
     pending_puts: VecDeque<(ObjSeq, PutPayload)>,
-    /// Writeback pool handle; `None` runs the fully serial path
-    /// (`writeback_threads == 0`), where every PUT happens inline. The
-    /// channel routes this volume's PUT completions back to it even when
-    /// the underlying pool is shared by a whole fleet of volumes; the read
-    /// plane's miss fetches scatter-gather over the same pool.
-    pool: Option<PoolChannel>,
+    /// Writeback pool, shared with the read plane for scatter-gather miss
+    /// fetches. With `writeback_threads == 0` it has no workers and runs
+    /// each PUT inside the call that submits it: the serial path is this
+    /// same engine with a window of one.
+    pool: Arc<WritebackPool>,
+    /// PUTs the pool may hold at once: `max_inflight_puts` with workers,
+    /// one inline PUT without.
+    window: usize,
     /// Payloads handed to the pool and not yet completed, by sequence.
     inflight: BTreeMap<ObjSeq, PutPayload>,
     /// Payloads whose PUT completed *out of order*: durable in the backend
@@ -289,8 +283,8 @@ pub struct Volume {
     landed: BTreeMap<ObjSeq, PutPayload>,
     /// Gate that releases landed batches in contiguous sequence order.
     durable: DurableFrontier,
-    /// A transient PUT failure has been observed and its batch requeued;
-    /// cleared when a PUT completes successfully or the backlog empties.
+    /// A PUT failure has been observed and its batch requeued; cleared
+    /// when a PUT completes successfully.
     put_stalled: bool,
     /// Live counters of a `RetryStore` beneath us, surfaced in stats.
     /// Auto-attached when the stack is built from
@@ -323,7 +317,7 @@ pub struct Volume {
     /// Trims (cache seq, lba, sectors) not yet carried by a *finished*
     /// backend object. Re-punched after each `apply_object` so a batch
     /// sealed before the trim but landing after it cannot resurrect
-    /// discarded mappings (pipelined mode races seal and finish).
+    /// discarded mappings (with workers, seal and finish race).
     pending_trims: Vec<(u64, Lba, u64)>,
 
     read_only: bool,
@@ -516,31 +510,6 @@ impl Volume {
         size_bytes: u64,
         cfg: VolumeConfig,
     ) -> Result<Volume> {
-        Self::create_with(store, dev, image, size_bytes, cfg, None)
-    }
-
-    /// Like [`Volume::create`], but the new volume joins `pool` (a fleet
-    /// node's shared writeback pool) on a private completion channel
-    /// instead of spawning its own workers.
-    pub fn create_in_pool(
-        store: Arc<dyn ObjectStore>,
-        dev: Arc<dyn BlockDevice>,
-        image: &str,
-        size_bytes: u64,
-        cfg: VolumeConfig,
-        pool: Arc<WritebackPool>,
-    ) -> Result<Volume> {
-        Self::create_with(store, dev, image, size_bytes, cfg, Some(pool))
-    }
-
-    fn create_with(
-        store: Arc<dyn ObjectStore>,
-        dev: Arc<dyn BlockDevice>,
-        image: &str,
-        size_bytes: u64,
-        cfg: VolumeConfig,
-        shared_pool: Option<Arc<WritebackPool>>,
-    ) -> Result<Volume> {
         cfg.validate();
         if size_bytes == 0 || !size_bytes.is_multiple_of(SECTOR) {
             return Err(LsvdError::InvalidAccess {
@@ -565,19 +534,17 @@ impl Volume {
         stack
             .store
             .put(&checkpoint_name(image, 0), ck.build(uuid))?;
-        Self::attach_fresh_cache(
-            stack,
-            dev,
-            sb,
-            cfg,
-            ObjectMap::new(),
-            0,
-            0,
-            vec![],
-            vec![],
-            0,
-            shared_pool,
-        )
+        let fresh = RecoveredBackend {
+            superblock: sb,
+            objmap: ObjectMap::new(),
+            last_seq: 0,
+            frontier: 0,
+            snapshots: vec![],
+            deferred_deletes: vec![],
+            ckpt_seq: 0,
+            stranded_deleted: vec![],
+        };
+        Self::attach_fresh_cache(stack, dev, cfg, fresh)
     }
 
     /// Clones `base_image` (optionally at one of its snapshots) into a new
@@ -631,30 +598,6 @@ impl Volume {
         image: &str,
         cfg: VolumeConfig,
     ) -> Result<Volume> {
-        Self::open_with(store, dev, image, cfg, None)
-    }
-
-    /// Like [`Volume::open`], but the volume joins `pool` (a fleet node's
-    /// shared writeback pool) on a private completion channel instead of
-    /// spawning its own workers. The shared pool takes precedence over
-    /// `writeback_threads` — a fleet member is always pipelined.
-    pub fn open_in_pool(
-        store: Arc<dyn ObjectStore>,
-        dev: Arc<dyn BlockDevice>,
-        image: &str,
-        cfg: VolumeConfig,
-        pool: Arc<WritebackPool>,
-    ) -> Result<Volume> {
-        Self::open_with(store, dev, image, cfg, Some(pool))
-    }
-
-    fn open_with(
-        store: Arc<dyn ObjectStore>,
-        dev: Arc<dyn BlockDevice>,
-        image: &str,
-        cfg: VolumeConfig,
-        shared_pool: Option<Arc<WritebackPool>>,
-    ) -> Result<Volume> {
         cfg.validate();
         let stack = build_store_stack(store, &cfg);
         let rb = recovery::recover_backend(stack.store.as_ref(), image, None)?;
@@ -672,77 +615,13 @@ impl Volume {
                 // Restore the persisted read-cache map if present (§3.2);
                 // a cold cache is always safe.
                 let rcache = ReadCache::load(dev.clone(), c.rc_start, c.rc_sectors);
-                let pool = match shared_pool {
-                    Some(p) => Some(p),
-                    None => WritebackPool::spawn(stack.store.clone(), cfg.writeback_threads)
-                        .map(Arc::new),
-                };
-                let chan = pool.clone().map(PoolChannel::new);
-                let spans = Arc::new(SpanRing::new(SPAN_RING_CAPACITY, SPAN_RING_SHARDS));
-                let plane = Arc::new(ReadPlane::new(
-                    dev.clone(),
-                    stack.store.clone(),
-                    rb.superblock.clone(),
-                    &cfg,
-                    rcache,
-                    rb.objmap,
-                    pool.clone(),
-                    spans.clone(),
-                ));
-                let mut vol = Volume {
-                    store: stack.store,
-                    dev,
-                    size_sectors: rb.superblock.size_bytes / SECTOR,
-                    sb: rb.superblock,
-                    cfg,
-                    wlog,
-                    plane,
-                    batch: BatchBuilder::new(),
-                    pending_puts: VecDeque::new(),
-                    pool: chan,
-                    inflight: BTreeMap::new(),
-                    landed: BTreeMap::new(),
-                    durable: DurableFrontier::new(rb.last_seq),
-                    put_stalled: false,
-                    retry_handle: stack.retry,
-                    metrics: stack.metrics,
-                    tel: VolTelemetry::new(),
-                    next_obj_seq: rb.last_seq + 1,
-                    last_seq: rb.last_seq,
-                    last_ckpt_seq: rb.ckpt_seq,
-                    objects_since_ckpt: 0,
-                    frontier: rb.frontier,
-                    snapshots: rb.snapshots,
-                    deferred_deletes: rb.deferred_deletes,
-                    gc: None,
-                    gc_last_collected: 0,
-                    gc_stepping: false,
-                    pending_trims: Vec::new(),
-                    read_only: false,
-                    stats: VolumeStats::default(),
-                    spans,
-                    span_ctx: (0, 0),
-                };
+                let mut vol = Self::assemble(stack, dev, cfg, rb, wlog, rcache);
                 vol.replay_cache_tail(pending)?;
                 Ok(vol)
             }
-            None => {
-                // Cache lost (or foreign): prefix-consistent recovery from
-                // the backend alone.
-                Self::attach_fresh_cache(
-                    stack,
-                    dev,
-                    rb.superblock,
-                    cfg,
-                    rb.objmap,
-                    rb.last_seq,
-                    rb.frontier,
-                    rb.snapshots,
-                    rb.deferred_deletes,
-                    rb.ckpt_seq,
-                    shared_pool,
-                )
-            }
+            // Cache lost (or foreign): prefix-consistent recovery from the
+            // backend alone.
+            None => Self::attach_fresh_cache(stack, dev, cfg, rb),
         }
     }
 
@@ -766,41 +645,22 @@ impl Volume {
             .map(|&(_, s)| s)
             .ok_or_else(|| LsvdError::NoSuchSnapshot(snapshot.to_string()))?;
         let rb = recovery::recover_backend(stack.store.as_ref(), image, Some(seq))?;
-        let mut vol = Self::attach_fresh_cache(
-            stack,
-            dev,
-            rb.superblock,
-            cfg,
-            rb.objmap,
-            rb.last_seq,
-            rb.frontier,
-            rb.snapshots,
-            rb.deferred_deletes,
-            rb.ckpt_seq,
-            None,
-        )?;
+        let mut vol = Self::attach_fresh_cache(stack, dev, cfg, rb)?;
         vol.read_only = true;
         Ok(vol)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Formats the cache device for `rb`'s volume and assembles it.
     fn attach_fresh_cache(
         stack: StoreStack,
         dev: Arc<dyn BlockDevice>,
-        sb: Superblock,
         cfg: VolumeConfig,
-        objmap: ObjectMap,
-        last_seq: ObjSeq,
-        frontier: u64,
-        snapshots: Vec<(String, ObjSeq)>,
-        deferred_deletes: Vec<(ObjSeq, ObjSeq)>,
-        last_ckpt_seq: ObjSeq,
-        shared_pool: Option<Arc<WritebackPool>>,
+        rb: RecoveredBackend,
     ) -> Result<Volume> {
         let (wc_start, wc_sectors, rc_start, rc_sectors) = cache_layout(&dev, &cfg);
         let cache_sb = CacheSb {
-            uuid: sb.uuid,
-            image: sb.image.clone(),
+            uuid: rb.superblock.uuid,
+            image: rb.superblock.image.clone(),
             wc_start,
             wc_sectors,
             rc_start,
@@ -809,50 +669,68 @@ impl Volume {
         dev.write_at(0, &cache_sb.build())?;
         // Cache sequences continue above the recovered frontier so that a
         // later crash recovery cannot mistake new records for shipped ones.
-        let wlog = WriteLog::format(dev.clone(), wc_start, wc_sectors, frontier + 1)?;
+        let wlog = WriteLog::format(dev.clone(), wc_start, wc_sectors, rb.frontier + 1)?;
         let rcache = ReadCache::new(dev.clone(), rc_start, rc_sectors);
         dev.flush()?;
-        let pool = match shared_pool {
-            Some(p) => Some(p),
-            None => WritebackPool::spawn(stack.store.clone(), cfg.writeback_threads).map(Arc::new),
+        Ok(Self::assemble(stack, dev, cfg, rb, wlog, rcache))
+    }
+
+    /// Builds a volume over a recovered (or freshly formatted) write log
+    /// and read cache, resuming the object stream where `rb` left it.
+    fn assemble(
+        stack: StoreStack,
+        dev: Arc<dyn BlockDevice>,
+        cfg: VolumeConfig,
+        rb: RecoveredBackend,
+        wlog: WriteLog,
+        rcache: ReadCache,
+    ) -> Volume {
+        let pool = Arc::new(WritebackPool::spawn(
+            stack.store.clone(),
+            cfg.writeback_threads,
+        ));
+        let window = if pool.threads() == 0 {
+            1
+        } else {
+            cfg.max_inflight_puts
         };
-        let chan = pool.clone().map(PoolChannel::new);
         let spans = Arc::new(SpanRing::new(SPAN_RING_CAPACITY, SPAN_RING_SHARDS));
         let plane = Arc::new(ReadPlane::new(
             dev.clone(),
             stack.store.clone(),
-            sb.clone(),
+            rb.superblock.clone(),
             &cfg,
             rcache,
-            objmap,
+            rb.objmap,
             pool.clone(),
             spans.clone(),
         ));
-        Ok(Volume {
+        Volume {
             store: stack.store,
             dev,
-            size_sectors: sb.size_bytes / SECTOR,
-            sb,
+            size_sectors: rb.superblock.size_bytes / SECTOR,
+            sb: rb.superblock,
             cfg,
             wlog,
             plane,
             batch: BatchBuilder::new(),
             pending_puts: VecDeque::new(),
-            pool: chan,
+            pool,
+            window,
             inflight: BTreeMap::new(),
             landed: BTreeMap::new(),
-            durable: DurableFrontier::new(last_seq),
+            durable: DurableFrontier::new(rb.last_seq),
             put_stalled: false,
             retry_handle: stack.retry,
             metrics: stack.metrics,
             tel: VolTelemetry::new(),
-            next_obj_seq: last_seq + 1,
-            last_seq,
-            last_ckpt_seq,
+            next_obj_seq: rb.last_seq + 1,
+            last_seq: rb.last_seq,
+            last_ckpt_seq: rb.ckpt_seq,
             objects_since_ckpt: 0,
-            frontier,
-            snapshots,
-            deferred_deletes,
+            frontier: rb.frontier,
+            snapshots: rb.snapshots,
+            deferred_deletes: rb.deferred_deletes,
             gc: None,
             gc_last_collected: 0,
             gc_stepping: false,
@@ -861,7 +739,7 @@ impl Volume {
             stats: VolumeStats::default(),
             spans,
             span_ctx: (0, 0),
-        })
+        }
     }
 
     /// Replays recovered cache records newer than the backend frontier:
@@ -900,12 +778,11 @@ impl Volume {
         if !self.batch.is_empty() {
             self.put_batch()?;
         }
-        // Pipelined mode: settle the replayed tail before returning, so an
-        // open with a healthy backend ships it synchronously (matching the
-        // serial path). A stalling backend leaves it queued — degraded
-        // mode, same as serial.
-        while self.pool.is_some() && !self.writeback_idle() {
-            if let FlushOutcome::Stalled(_) = self.pump_pipeline(true)? {
+        // Settle the replayed tail before returning, so an open with a
+        // healthy backend ships it synchronously. A stalling backend
+        // leaves it queued — degraded mode.
+        while !self.inflight.is_empty() {
+            if self.pump(true)?.is_some() {
                 break;
             }
         }
@@ -974,11 +851,9 @@ impl Volume {
 
     fn write_chunk(&mut self, lba: Lba, data: &[u8]) -> Result<()> {
         let sectors = bytes_to_sectors(data.len() as u64);
-        if self.pool.is_some() {
-            // Harvest any finished PUTs first so the backlog accounting
-            // below sees fresh state.
-            self.pump_pipeline(false)?;
-        }
+        // Harvest any finished PUTs first so the backlog accounting below
+        // sees fresh state.
+        self.pump_head()?;
         // Drive any in-progress cleaning pass one budgeted increment:
         // its relocation carriers share the PUT window with this write's
         // batches, so cleaning progresses without ever gating the
@@ -1004,52 +879,28 @@ impl Volume {
         if self.writeback_backlog() >= self.cfg.max_pending_batches
             && self.batch.live_bytes() + data.len() as u64 >= self.cfg.batch_bytes
         {
-            let cleared = if self.pool.is_some() {
-                // A full window over a healthy backend is throttling, not
-                // failure: block until the durable prefix advances enough
-                // to admit another batch. Harvesting an out-of-order
-                // completion parks it in `landed` without shrinking the
-                // backlog, so one blocking pump is not always enough —
-                // keep pumping while the pipe is healthy and moving.
-                loop {
-                    if self.writeback_backlog() < self.cfg.max_pending_batches {
-                        break true;
-                    }
-                    if self.inflight.is_empty() {
-                        break false; // jammed: nothing left to wait for
-                    }
-                    if let FlushOutcome::Stalled(_) = self.pump_pipeline(true)? {
-                        break self.writeback_backlog() < self.cfg.max_pending_batches;
-                    }
+            // A full window over a healthy backend is throttling, not
+            // failure: block until the durable prefix advances enough to
+            // admit another batch. Harvesting an out-of-order completion
+            // parks it in `landed` without shrinking the backlog, so one
+            // blocking pump is not always enough — keep pumping while the
+            // pipe is healthy and moving. A stall rejects the write.
+            let cleared = loop {
+                if self.writeback_backlog() < self.cfg.max_pending_batches {
+                    break true;
                 }
-            } else {
-                matches!(self.flush_pending()?, FlushOutcome::Drained)
+                if self.pump(true)?.is_some() {
+                    break false;
+                }
+                if self.inflight.is_empty() {
+                    break self.writeback_backlog() < self.cfg.max_pending_batches;
+                }
             };
             if !cleared {
-                self.stats.backpressure_rejections += 1;
-                return Err(LsvdError::Backpressure {
-                    pending: self.writeback_backlog(),
-                    limit: self.cfg.max_pending_batches,
-                });
+                return Err(self.backpressure());
             }
         }
-        // Make room: push the current batch out and release log records.
-        while !self.wlog.has_room(data.len() as u64) {
-            let before = self.wlog.free_sectors();
-            self.writeback_now()?;
-            if self.wlog.free_sectors() == before {
-                // No progress. Distinguish "backend down, queue jammed"
-                // from a genuinely undersized cache.
-                if !self.writeback_idle() {
-                    self.stats.backpressure_rejections += 1;
-                    return Err(LsvdError::Backpressure {
-                        pending: self.writeback_backlog(),
-                        limit: self.cfg.max_pending_batches,
-                    });
-                }
-                return Err(LsvdError::CacheFull);
-            }
-        }
+        self.make_room(data.len() as u64)?;
         let (req, parent) = self.span_ctx;
         let span = if req != 0 {
             self.spans.begin(req, parent, Stage::WlogAppend)
@@ -1121,9 +972,7 @@ impl Volume {
         if sectors == 0 {
             return Ok(());
         }
-        if self.pool.is_some() {
-            self.pump_pipeline(false)?;
-        }
+        self.pump_head()?;
         let (req, parent) = self.span_ctx;
         let span = if req != 0 {
             self.spans.begin(req, parent, Stage::Trim)
@@ -1150,23 +999,8 @@ impl Volume {
     }
 
     fn discard_extent(&mut self, lba: Lba, sectors: u32) -> Result<()> {
-        // Make room for the one-sector trim record (same recovery ladder
-        // as the write path: push batches out, distinguish a jammed
-        // backend from an undersized cache).
-        while !self.wlog.has_room(0) {
-            let before = self.wlog.free_sectors();
-            self.writeback_now()?;
-            if self.wlog.free_sectors() == before {
-                if !self.writeback_idle() {
-                    self.stats.backpressure_rejections += 1;
-                    return Err(LsvdError::Backpressure {
-                        pending: self.writeback_backlog(),
-                        limit: self.cfg.max_pending_batches,
-                    });
-                }
-                return Err(LsvdError::CacheFull);
-            }
-        }
+        // Room for the one-sector trim record.
+        self.make_room(0)?;
         let seq = self.wlog.append_trim(&[(lba, sectors)])?;
         {
             let mut st = self.plane.write_state();
@@ -1210,23 +1044,41 @@ impl Volume {
 
     /// Forces the current batch to the backend even if not full.
     fn writeback_now(&mut self) -> Result<()> {
-        if self.pool.is_some() {
-            self.pump_pipeline(false)?;
-            if !self.batch.is_empty() && self.writeback_backlog() < self.cfg.max_pending_batches {
-                self.seal_into_queue();
-                self.submit_ready();
-            }
-            if !self.inflight.is_empty() {
-                // Block for at least one completion so the caller (the
-                // cache-full loop) can observe released log records.
-                self.pump_pipeline(true)?;
-            }
-            return Ok(());
+        self.put_batch()?;
+        if !self.inflight.is_empty() {
+            // Block for at least one completion so the caller (the
+            // cache-full loop) can observe released log records.
+            self.pump(true)?;
         }
-        if self.batch.is_empty() && self.pending_puts.is_empty() {
-            return Ok(());
+        Ok(())
+    }
+
+    /// Makes room in the cache log for a record of `bytes` payload bytes:
+    /// push the current batch out and release log records. No progress
+    /// means either the backend is down with the queue jammed or the
+    /// cache is too small for the record.
+    fn make_room(&mut self, bytes: u64) -> Result<()> {
+        while !self.wlog.has_room(bytes) {
+            let before = self.wlog.free_sectors();
+            self.writeback_now()?;
+            if self.wlog.free_sectors() == before {
+                return Err(if self.writeback_idle() {
+                    LsvdError::CacheFull
+                } else {
+                    self.backpressure()
+                });
+            }
         }
-        self.put_batch()
+        Ok(())
+    }
+
+    /// Counts and builds the rejection of a write the backlog cannot take.
+    fn backpressure(&mut self) -> LsvdError {
+        self.stats.backpressure_rejections += 1;
+        LsvdError::Backpressure {
+            pending: self.writeback_backlog(),
+            limit: self.cfg.max_pending_batches,
+        }
     }
 
     /// Sealed batches not yet applied to the object map: queued, in
@@ -1234,6 +1086,16 @@ impl Volume {
     /// backpressure counts.
     fn writeback_backlog(&self) -> usize {
         self.pending_puts.len() + self.inflight.len() + self.landed.len()
+    }
+
+    /// Object bytes of the sealed batches in the backlog.
+    fn backlog_bytes(&self) -> u64 {
+        let queued = self.pending_puts.iter().map(|(_, p)| p);
+        queued
+            .chain(self.inflight.values())
+            .chain(self.landed.values())
+            .map(|p| p.object().len() as u64)
+            .sum()
     }
 
     /// Whether every sealed batch has been shipped *and* applied.
@@ -1274,81 +1136,105 @@ impl Volume {
         }
     }
 
-    /// Pipelined-mode pump: harvest PUT completions (blocking for at
-    /// least one when `block`), apply the newly contiguous durable prefix
-    /// in sequence order, requeue transient failures, and refill the
-    /// in-flight window. Serial mode is a no-op.
+    /// The writeback pump: harvest PUT completions (blocking for at least
+    /// one when `block` and a PUT is outstanding), apply the newly
+    /// contiguous durable prefix in sequence order, requeue transient
+    /// failures, and refill the in-flight window — repeatedly, so PUTs an
+    /// inline pool ran during the refill are applied in this same call.
     ///
-    /// Returns `Stalled` when this pump observed a transient failure;
-    /// the failed batch is back in the queue, nothing lost or reordered.
-    fn pump_pipeline(&mut self, block: bool) -> Result<FlushOutcome> {
-        let completions = match &self.pool {
-            None => return Ok(FlushOutcome::Drained),
-            Some(pool) => {
-                if block {
-                    pool.wait_puts()
-                } else {
-                    pool.poll_puts()
-                }
-            }
+    /// Returns the error when this pump observed a transient failure (the
+    /// volume *stalled*): the failed batch is back in the queue, nothing
+    /// lost or reordered, and it is not resubmitted before the next pump —
+    /// each pump is one attempt. Permanent failures propagate.
+    fn pump(&mut self, block: bool) -> Result<Option<ObjError>> {
+        let mut completions = if block {
+            self.pool.wait_puts()
+        } else {
+            self.pool.poll_puts()
         };
         let mut stall = None;
-        for c in completions {
-            let seq = c.seq;
-            let sealed = self
-                .inflight
-                .remove(&seq)
-                .expect("completion for an unknown sequence");
-            match c.result {
-                Ok(()) => {
-                    self.put_stalled = false;
-                    self.trace(TraceEvent::PutDone { seq: seq.into() });
-                    self.finish_put_span(seq);
-                    self.record_put_timing(seq, c.service);
-                    self.landed.insert(seq, sealed);
-                    // Only the gap-free prefix may touch metadata: apply
-                    // exactly the sequences the frontier releases, in
-                    // order. Anything beyond a gap stays in `landed`.
-                    for ready in self.durable.complete(seq) {
-                        let sealed = self.landed.remove(&ready).expect("ready batch landed");
-                        self.finish_put(ready, sealed)?;
+        loop {
+            for c in completions {
+                if let Some(e) = self.harvest(c)? {
+                    if stall.as_ref().is_none_or(ObjError::is_transient) {
+                        stall = Some(e);
                     }
-                }
-                Err(e) if e.is_transient() => {
-                    self.stats.put_transient_failures += 1;
-                    self.put_stalled = true;
-                    self.trace(TraceEvent::PutRetry { seq: seq.into() });
-                    if let Some(entry) = self.tel.put_spans.get_mut(&seq) {
-                        entry.1 += 1;
-                    }
-                    // Requeue at its sequence position. FIFO visibility is
-                    // safe: nothing at or beyond this sequence can apply
-                    // until its PUT eventually lands.
-                    let pos = self.pending_puts.partition_point(|&(s, _)| s < seq);
-                    self.pending_puts.insert(pos, (seq, sealed));
-                    stall = Some(e);
-                }
-                Err(e) => {
-                    self.trace(TraceEvent::PutAbort { seq: seq.into() });
-                    self.finish_put_span(seq);
-                    return Err(e.into());
                 }
             }
+            if stall.is_some() || !self.submit_ready() {
+                break;
+            }
+            completions = self.pool.poll_puts();
         }
-        self.submit_ready();
-        self.note_degraded_edge();
-        Ok(match stall {
-            Some(e) => FlushOutcome::Stalled(e),
-            None => FlushOutcome::Drained,
-        })
+        match stall {
+            Some(e) if !e.is_transient() => Err(e.into()),
+            stall => {
+                self.note_degraded_edge();
+                Ok(stall)
+            }
+        }
     }
 
-    /// Moves queued batches onto the pool up to the in-flight window.
-    fn submit_ready(&mut self) {
-        if self.pool.is_none() {
-            return;
+    /// The pump at the head of each client write and trim, when anything
+    /// is queued or in flight. A stalled queue is left alone: a degraded
+    /// volume retries the backend at its next seal, backpressure, drain or
+    /// cleaning point, not on every client operation.
+    fn pump_head(&mut self) -> Result<()> {
+        if !self.put_stalled && !self.writeback_idle() {
+            self.pump(false)?;
         }
-        while self.inflight.len() < self.cfg.max_inflight_puts && !self.pending_puts.is_empty() {
+        Ok(())
+    }
+
+    /// Takes one completion: a success lands and applies whatever prefix
+    /// it completes; a failed PUT's payload is requeued at its sequence
+    /// position (FIFO visibility is safe: nothing at or beyond it can
+    /// apply until it lands) and its error handed back.
+    fn harvest(&mut self, c: PutCompletion) -> Result<Option<ObjError>> {
+        let seq = c.seq;
+        let sealed = self
+            .inflight
+            .remove(&seq)
+            .expect("completion for an unknown sequence");
+        let e = match c.result {
+            Ok(()) => {
+                self.put_stalled = false;
+                self.trace(TraceEvent::PutDone { seq: seq.into() });
+                self.finish_put_span(seq);
+                self.record_put_timing(seq, c.service);
+                self.landed.insert(seq, sealed);
+                // Only the gap-free prefix may touch metadata: apply
+                // exactly the sequences the frontier releases, in order.
+                // Anything beyond a gap stays in `landed`.
+                for ready in self.durable.complete(seq) {
+                    let sealed = self.landed.remove(&ready).expect("ready batch landed");
+                    self.finish_put(ready, sealed)?;
+                }
+                return Ok(None);
+            }
+            Err(e) => e,
+        };
+        self.put_stalled = true;
+        if e.is_transient() {
+            self.stats.put_transient_failures += 1;
+            self.trace(TraceEvent::PutRetry { seq: seq.into() });
+            if let Some(entry) = self.tel.put_spans.get_mut(&seq) {
+                entry.1 += 1;
+            }
+        } else {
+            self.trace(TraceEvent::PutAbort { seq: seq.into() });
+            self.finish_put_span(seq);
+        }
+        let pos = self.pending_puts.partition_point(|&(s, _)| s < seq);
+        self.pending_puts.insert(pos, (seq, sealed));
+        Ok(Some(e))
+    }
+
+    /// Moves queued batches onto the pool up to the in-flight window;
+    /// returns whether any moved.
+    fn submit_ready(&mut self) -> bool {
+        let mut submitted = false;
+        while self.inflight.len() < self.window && !self.pending_puts.is_empty() {
             let (seq, payload) = self.pending_puts.pop_front().expect("checked nonempty");
             let name = self.resolve_name(seq);
             self.trace(TraceEvent::PutStart { seq: seq.into() });
@@ -1357,12 +1243,11 @@ impl Volume {
             if let Some(open) = self.spans.begin(0, 0, Stage::Put) {
                 self.tel.put_spans.entry(seq).or_insert((open, 0));
             }
-            self.pool
-                .as_ref()
-                .expect("pipelined")
-                .submit_put(seq, name, payload.object().clone());
+            self.pool.submit_put(seq, name, payload.object().clone());
             self.inflight.insert(seq, payload);
+            submitted = true;
         }
+        submitted
     }
 
     /// Seals the current batch into the pending queue, allocating its
@@ -1392,78 +1277,20 @@ impl Volume {
             .instant(0, 0, Stage::BatchSeal, seq.into(), last_cache_seq);
     }
 
-    /// Ships queued batches oldest-first. A transient backend failure
-    /// stalls the queue (degraded mode) — the data stays in the cache log
-    /// and the queue, nothing is lost or reordered. Permanent failures
-    /// propagate.
-    fn flush_pending(&mut self) -> Result<FlushOutcome> {
-        loop {
-            let Some((seq, obj)) = self
-                .pending_puts
-                .front()
-                .map(|(s, p)| (*s, p.object().clone()))
-            else {
-                self.note_degraded_edge();
-                return Ok(FlushOutcome::Drained);
-            };
-            self.trace(TraceEvent::PutStart { seq: seq.into() });
-            if let Some(open) = self.spans.begin(0, 0, Stage::Put) {
-                self.tel.put_spans.entry(seq).or_insert((open, 0));
-            }
-            let t0 = Instant::now();
-            match self.store.put(&self.resolve_name(seq), obj) {
-                Ok(()) => {
-                    self.trace(TraceEvent::PutDone { seq: seq.into() });
-                    self.finish_put_span(seq);
-                    self.record_put_timing(seq, t0.elapsed());
-                    let (seq, sealed) = self.pending_puts.pop_front().expect("checked nonempty");
-                    self.finish_put(seq, sealed)?;
-                }
-                Err(e) if e.is_transient() => {
-                    self.stats.put_transient_failures += 1;
-                    self.trace(TraceEvent::PutRetry { seq: seq.into() });
-                    if let Some(entry) = self.tel.put_spans.get_mut(&seq) {
-                        entry.1 += 1;
-                    }
-                    self.note_degraded_edge();
-                    return Ok(FlushOutcome::Stalled(e));
-                }
-                Err(e) => {
-                    self.trace(TraceEvent::PutAbort { seq: seq.into() });
-                    self.finish_put_span(seq);
-                    return Err(e.into());
-                }
-            }
-        }
-    }
-
+    /// Seals the open batch behind any queued ones and ships it. A
+    /// transient backend failure leaves the queue stalled (degraded mode):
+    /// the data stays in the cache log and the queue, nothing is lost or
+    /// reordered, and the new batch is sealed but not attempted until the
+    /// next pump. Permanent failures propagate.
     fn put_batch(&mut self) -> Result<()> {
-        if self.pool.is_some() {
-            // Pipelined: harvest opportunistically, seal into the queue if
-            // the backlog allows, and keep the window full. Transient
-            // failures are absorbed here exactly like the serial path —
-            // the data is durable in the cache log.
-            self.pump_pipeline(false)?;
-            if !self.batch.is_empty() && self.writeback_backlog() < self.cfg.max_pending_batches {
-                self.seal_into_queue();
-                self.submit_ready();
+        let stalled = self.pump(false)?.is_some();
+        if !self.batch.is_empty() && self.writeback_backlog() < self.cfg.max_pending_batches {
+            self.seal_into_queue();
+            if !stalled {
+                self.pump(false)?;
             }
-            return Ok(());
         }
-        if let FlushOutcome::Stalled(_) = self.flush_pending()? {
-            // Backend down. Seal the current batch into the queue (if it
-            // fits) so its cache records keep their place in line, and
-            // absorb the failure: the data is durable in the cache log.
-            if !self.batch.is_empty() && self.pending_puts.len() < self.cfg.max_pending_batches {
-                self.seal_into_queue();
-            }
-            return Ok(());
-        }
-        if self.batch.is_empty() {
-            return Ok(());
-        }
-        self.seal_into_queue();
-        self.flush_pending().map(|_| ())
+        Ok(())
     }
 
     /// Closes the open PUT span for `seq` (if tracing was on when it was
@@ -1477,11 +1304,6 @@ impl Volume {
     fn finish_put(&mut self, seq: ObjSeq, payload: PutPayload) -> Result<()> {
         debug_assert_eq!(seq, self.last_seq + 1, "applied out of prefix order");
         self.last_seq = seq;
-        if self.pool.is_none() {
-            // Serial PUTs complete in order; keep the frontier tracker in
-            // step so `durable_frontier()` is meaningful in both modes.
-            self.durable.advance_past(seq);
-        }
         self.trace(TraceEvent::FrontierAdvance { seq: seq.into() });
         self.spans
             .instant(0, 0, Stage::FrontierAdvance, seq.into(), 0);
@@ -1630,62 +1452,38 @@ impl Volume {
     /// batches are kept — a later drain (or healed backend) ships them in
     /// order.
     pub fn drain(&mut self) -> Result<()> {
-        if self.pool.is_some() {
-            // Seal everything up front (the queue bound applies to the
-            // write path, not to an explicit drain), then pump until the
-            // durable prefix covers every batch. Failures that were
-            // already in the pipe when drain started (e.g. PUTs issued
-            // against a backend that has since healed) are retried; the
-            // error only surfaces once a full window of stalled pumps
-            // makes no frontier progress — the backend really is down.
-            if !self.batch.is_empty() {
-                self.seal_into_queue();
-            }
-            self.submit_ready();
-            let mut fruitless_stalls = 0;
-            while !self.writeback_idle() {
-                let before = self.durable.frontier();
-                match self.pump_pipeline(true)? {
-                    FlushOutcome::Stalled(e) => {
-                        if self.durable.frontier() == before {
-                            fruitless_stalls += 1;
-                            if fruitless_stalls > self.cfg.max_inflight_puts {
-                                return Err(LsvdError::Backend(e));
-                            }
-                        } else {
-                            fruitless_stalls = 0;
-                        }
-                    }
-                    FlushOutcome::Drained => {}
+        // Seal everything (the queue bound applies to the write path, not
+        // to an explicit drain) and pump until the durable prefix covers
+        // every batch. Failures of PUTs already in flight when the drain
+        // started (issued, say, against a backend that has since healed)
+        // are retried; once more pumps have stalled than there were such
+        // PUTs, one of the drain's own attempts failed and the error
+        // surfaces. With an inline pool nothing is in flight, so the
+        // first failure surfaces.
+        let in_pipe = self.inflight.len();
+        let mut stalls = 0;
+        loop {
+            if let Some(e) = self.pump(self.batch.is_empty())? {
+                stalls += 1;
+                if stalls > in_pipe {
+                    return Err(LsvdError::Backend(e));
                 }
             }
-            debug_assert_eq!(self.wlog.live_records(), 0);
-            return Ok(());
-        }
-        loop {
-            if let FlushOutcome::Stalled(e) = self.flush_pending()? {
-                return Err(LsvdError::Backend(e));
-            }
-            if self.batch.is_empty() {
+            if !self.batch.is_empty() {
+                self.seal_into_queue();
+            } else if self.writeback_idle() {
                 break;
             }
-            self.seal_into_queue();
         }
         debug_assert_eq!(self.wlog.live_records(), 0);
         Ok(())
     }
 
-    /// Whether sealed batches are stuck awaiting a healthy backend.
-    ///
-    /// Serial mode: any queued batch means the last PUT attempt failed.
-    /// Pipelined mode: a non-empty backlog is normal (PUTs in flight), so
-    /// degraded additionally requires an unresolved transient failure.
+    /// Whether sealed batches are stuck awaiting a healthy backend: a
+    /// non-empty backlog is normal (PUTs in flight), so degraded requires
+    /// an unresolved PUT failure.
     pub fn is_degraded(&self) -> bool {
-        if self.pool.is_some() {
-            self.put_stalled && !self.writeback_idle()
-        } else {
-            !self.pending_puts.is_empty()
-        }
+        self.put_stalled && !self.writeback_idle()
     }
 
     /// The last object sequence inside the contiguous durable prefix —
@@ -1815,12 +1613,7 @@ impl Volume {
             if self.gc.is_some() {
                 // Carriers (or foreground batches ahead of them) still in
                 // flight: harvest completions so victims can retire.
-                let outcome = if self.pool.is_some() {
-                    self.pump_pipeline(!self.inflight.is_empty())?
-                } else {
-                    self.flush_pending()?
-                };
-                if let FlushOutcome::Stalled(e) = outcome {
+                if let Some(e) = self.pump(true)? {
                     last_stall = Some(e);
                 }
             }
@@ -1963,12 +1756,7 @@ impl Volume {
             }
             // A carrier needs a backlog slot, same as a foreground seal.
             if self.writeback_backlog() >= self.cfg.max_pending_batches {
-                if self.pool.is_some() {
-                    self.pump_pipeline(false)?;
-                }
-                if self.writeback_backlog() >= self.cfg.max_pending_batches {
-                    break;
-                }
+                break;
             }
             match self.gc_next_piece()? {
                 Some((lba, len, loc)) => {
@@ -1992,14 +1780,11 @@ impl Volume {
                 }
             }
         }
-        // Ship what this step sealed without waiting for completion.
-        if self.pool.is_some() {
-            self.submit_ready();
-            self.pump_pipeline(false)?;
-        } else if !self.pending_puts.is_empty() {
-            // Serial: PUT inline. A transient failure leaves the carrier
-            // queued (degraded mode) exactly like a foreground batch.
-            self.flush_pending()?;
+        // Ship what this step sealed without waiting for completion. A
+        // transient failure leaves the carrier queued (degraded mode)
+        // exactly like a foreground batch.
+        if !self.pending_puts.is_empty() {
+            self.pump(false)?;
         }
         self.gc_maybe_finish_pass();
         Ok(())
@@ -2428,13 +2213,7 @@ impl Volume {
         s.scatter_gets += p.scatter_gets;
         s.degraded = self.is_degraded();
         s.pending_batches = self.writeback_backlog() as u64;
-        s.pending_bytes = self
-            .pending_puts
-            .iter()
-            .map(|(_, p)| p.object().len() as u64)
-            .chain(self.inflight.values().map(|p| p.object().len() as u64))
-            .chain(self.landed.values().map(|p| p.object().len() as u64))
-            .sum();
+        s.pending_bytes = self.backlog_bytes();
         s.inflight_puts = self.inflight.len() as u64;
         s.queued_batches = self.pending_puts.len() as u64;
         s.landed_gapped = self.landed.len() as u64;
@@ -2452,8 +2231,9 @@ impl Volume {
         let p = self.plane.stats();
         let rc = { self.plane.read_state().rcache.stats() };
         let elapsed = self.tel.started.elapsed().as_secs_f64();
-        let window = if self.pool.is_some() {
-            self.cfg.max_inflight_puts as u64
+        // An inline pool overlaps no PUTs: it exports a window of 0.
+        let window = if self.pool.threads() > 0 {
+            self.window as u64
         } else {
             0
         };
@@ -2656,14 +2436,7 @@ impl Volume {
     /// ("dirty"): the open batch plus every sealed batch still queued, in
     /// flight, or landed out of order.
     pub fn dirty_bytes(&self) -> u64 {
-        self.batch.live_bytes()
-            + self
-                .pending_puts
-                .iter()
-                .map(|(_, p)| p.object().len() as u64)
-                .chain(self.inflight.values().map(|p| p.object().len() as u64))
-                .chain(self.landed.values().map(|p| p.object().len() as u64))
-                .sum::<u64>()
+        self.batch.live_bytes() + self.backlog_bytes()
     }
 
     /// `(live, total)` sectors across backend objects.

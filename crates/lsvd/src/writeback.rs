@@ -1,15 +1,18 @@
-//! Pipelined backend writeback: a worker pool and a durable-frontier
-//! tracker.
+//! Backend writeback: a PUT/GET pool and a durable-frontier tracker.
 //!
 //! The paper's prototype overlaps batch PUTs with foreground I/O (§3.1,
 //! Fig. 1): writes are acknowledged from the SSD log while sealed batches
 //! ship to the object store in the background. This module provides the
-//! two pieces the [`Volume`](crate::volume::Volume) needs to do the same:
+//! two pieces the [`Volume`](crate::volume::Volume)'s single writeback
+//! engine drives:
 //!
-//! - [`WritebackPool`] — a small fixed pool of worker threads that
-//!   executes batch PUTs (and scatter-gather prefetch GETs) against the
-//!   shared [`ObjectStore`]. The pool is pure transport: it never touches
-//!   volume metadata, so all map/checkpoint mutation stays on the
+//! - [`WritebackPool`] — executes batch PUTs (and scatter-gather prefetch
+//!   GETs) against the [`ObjectStore`]. With `n > 0` worker threads the
+//!   calls overlap the foreground; with zero workers each submitted job
+//!   runs on the submitting thread and its completion waits to be
+//!   harvested exactly like a worker's, so the serial path is the same
+//!   engine with a window of one. The pool is pure transport: it never
+//!   touches volume metadata, so all map/checkpoint mutation stays on the
 //!   foreground thread.
 //! - [`DurableFrontier`] — tracks which object sequences have completed
 //!   their PUT and yields them back *in contiguous order*. PUTs issued
@@ -30,17 +33,13 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::types::ObjSeq;
 
-/// One scatter-GET part: the fetched bytes plus the worker-computed
-/// payload CRC when the caller asked for one.
+/// One scatter-GET part: the fetched bytes plus the computed payload CRC
+/// when the caller asked for one.
 type GetPart = objstore::Result<(Bytes, Option<u32>)>;
 
 /// A unit of work for the pool.
 enum Job {
     Put {
-        /// Completion channel: the volume that submitted this PUT. A pool
-        /// shared by a fleet of volumes routes each completion back to its
-        /// submitter instead of letting one volume harvest another's.
-        chan: u64,
         seq: ObjSeq,
         name: String,
         data: Bytes,
@@ -50,7 +49,7 @@ enum Job {
         name: String,
         offset: u64,
         len: u64,
-        /// Checksum the fetched bytes on the worker thread (the volume's
+        /// Checksum the fetched bytes where the GET runs (the volume's
         /// GET-verify path folds the per-part CRCs with `crc32c_combine`
         /// instead of re-scanning the assembled window on the foreground).
         crc: bool,
@@ -59,16 +58,13 @@ enum Job {
 
 /// A finished unit of work.
 enum Done {
-    Put(u64, PutCompletion),
-    Get {
-        token: u64,
-        result: objstore::Result<(Bytes, Option<u32>)>,
-    },
+    Put(PutCompletion),
+    Get { token: u64, result: GetPart },
 }
 
 /// One harvested batch-PUT completion, including how long the backend
-/// call itself took (the worker-side *service time*; the volume computes
-/// queue wait as total-time-since-seal minus this).
+/// call itself took (the *service time*; the volume computes queue wait
+/// as total-time-since-seal minus this).
 pub struct PutCompletion {
     /// Object sequence number of the batch.
     pub seq: ObjSeq,
@@ -81,19 +77,9 @@ pub struct PutCompletion {
 struct PoolState {
     queue: VecDeque<Job>,
     done: Vec<Done>,
-    /// PUTs currently executing on a worker, keyed by channel.
-    active_puts: std::collections::HashMap<u64, usize>,
+    /// PUTs currently executing on a worker.
+    active_puts: usize,
     shutdown: bool,
-}
-
-impl PoolState {
-    fn puts_outstanding(&self, chan: u64) -> bool {
-        self.active_puts.get(&chan).copied().unwrap_or(0) > 0
-            || self
-                .queue
-                .iter()
-                .any(|j| matches!(j, Job::Put { chan: c, .. } if *c == chan))
-    }
 }
 
 struct Shared {
@@ -105,11 +91,12 @@ struct Shared {
     done_cv: Condvar,
 }
 
-/// A fixed pool of writeback workers over one shared object store.
+/// A fixed pool of writeback workers over one object store.
 ///
 /// Submission and harvesting are both non-blocking by default
 /// ([`WritebackPool::submit_put`] / [`WritebackPool::poll_puts`]);
 /// [`WritebackPool::wait_puts`] parks until at least one PUT completes.
+/// A pool of zero workers runs each job inside the submitting call.
 /// Dropping the pool discards queued-but-unstarted jobs, lets running
 /// jobs finish, and joins every worker — so an in-flight PUT either lands
 /// whole or not at all, exactly the crash model recovery's prefix rule
@@ -118,22 +105,18 @@ pub struct WritebackPool {
     shared: Arc<Shared>,
     threads: Vec<JoinHandle<()>>,
     next_token: AtomicU64,
-    next_chan: AtomicU64,
 }
 
 impl WritebackPool {
-    /// Spawns `threads` workers over `store`. Returns `None` when
-    /// `threads == 0` (serial mode: the caller PUTs inline).
-    pub fn spawn(store: Arc<dyn ObjectStore>, threads: usize) -> Option<WritebackPool> {
-        if threads == 0 {
-            return None;
-        }
+    /// Spawns `threads` workers over `store`; with `threads == 0` every
+    /// job runs inline on the thread that submits it.
+    pub fn spawn(store: Arc<dyn ObjectStore>, threads: usize) -> WritebackPool {
         let shared = Arc::new(Shared {
             store,
             state: Mutex::new(PoolState {
                 queue: VecDeque::new(),
                 done: Vec::new(),
-                active_puts: std::collections::HashMap::new(),
+                active_puts: 0,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -148,77 +131,57 @@ impl WritebackPool {
                     .expect("spawn writeback worker")
             })
             .collect();
-        Some(WritebackPool {
+        WritebackPool {
             shared,
             threads,
             next_token: AtomicU64::new(0),
-            next_chan: AtomicU64::new(1),
-        })
+        }
     }
 
-    /// Number of worker threads.
+    /// Number of worker threads (0 = inline).
     pub fn threads(&self) -> usize {
         self.threads.len()
     }
 
-    /// Allocates a fresh completion channel id. Channel `0` is the
-    /// implicit single-volume channel used by the bare `submit_put` /
-    /// `poll_puts` / `wait_puts` convenience methods.
-    pub fn alloc_chan(&self) -> u64 {
-        self.next_chan.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Queues one batch PUT on the default channel. `data` is the sealed
-    /// object's shared buffer ([`Bytes`]), so no copy happens between
-    /// sealing and the wire.
-    pub fn submit_put(&self, seq: ObjSeq, name: String, data: Bytes) {
-        self.submit_put_chan(0, seq, name, data);
-    }
-
-    /// Queues one batch PUT whose completion will be routed to `chan`.
-    pub fn submit_put_chan(&self, chan: u64, seq: ObjSeq, name: String, data: Bytes) {
-        {
-            let mut st = self.shared.state.lock();
-            st.queue.push_back(Job::Put {
-                chan,
-                seq,
-                name,
-                data,
-            });
+    /// Hands `jobs` to the workers, or runs them here when there are none.
+    fn dispatch(&self, jobs: Vec<Job>) {
+        if self.threads.is_empty() {
+            let done: Vec<Done> = jobs.into_iter().map(|j| run(&self.shared, j)).collect();
+            self.shared.state.lock().done.extend(done);
+            return;
         }
-        self.shared.work_cv.notify_one();
+        let n = jobs.len();
+        self.shared.state.lock().queue.extend(jobs);
+        for _ in 0..n {
+            self.shared.work_cv.notify_one();
+        }
     }
 
-    /// Harvests every default-channel PUT completion available right now,
-    /// never blocking. Completions arrive in *finish* order, which may
-    /// differ from submission order.
+    /// Queues one batch PUT. `data` is the sealed object's shared buffer
+    /// ([`Bytes`]), so no copy happens between sealing and the wire.
+    pub fn submit_put(&self, seq: ObjSeq, name: String, data: Bytes) {
+        self.dispatch(vec![Job::Put { seq, name, data }]);
+    }
+
+    /// Harvests every PUT completion available right now, never blocking.
+    /// Completions arrive in *finish* order, which may differ from
+    /// submission order.
     pub fn poll_puts(&self) -> Vec<PutCompletion> {
-        self.poll_puts_chan(0)
+        take_puts(&mut self.shared.state.lock())
     }
 
-    /// Harvests every completion available on `chan` right now.
-    pub fn poll_puts_chan(&self, chan: u64) -> Vec<PutCompletion> {
-        let mut st = self.shared.state.lock();
-        take_puts(&mut st, chan)
-    }
-
-    /// Blocks until at least one default-channel PUT completes, then
-    /// harvests all available completions. Returns an empty vec
-    /// immediately if no PUT is queued or running (nothing to wait for).
+    /// Blocks until at least one PUT completes, then harvests all
+    /// available completions. Returns an empty vec immediately if no PUT
+    /// is queued, running or unharvested (nothing to wait for).
     pub fn wait_puts(&self) -> Vec<PutCompletion> {
-        self.wait_puts_chan(0)
-    }
-
-    /// Blocks until at least one PUT on `chan` completes. Other channels'
-    /// completions are left untouched for their owners.
-    pub fn wait_puts_chan(&self, chan: u64) -> Vec<PutCompletion> {
         let mut st = self.shared.state.lock();
         loop {
-            let puts = take_puts(&mut st, chan);
+            let puts = take_puts(&mut st);
             if !puts.is_empty() {
                 return puts;
             }
-            if !st.puts_outstanding(chan) {
+            let queued = st.queue.iter().any(|j| matches!(j, Job::Put { .. }));
+            if st.active_puts == 0 && !queued {
                 return Vec::new();
             }
             self.shared.done_cv.wait(&mut st);
@@ -256,19 +219,19 @@ impl WritebackPool {
             return Vec::new();
         }
         let base = self.next_token.fetch_add(n as u64, Ordering::Relaxed);
-        {
-            let mut st = self.shared.state.lock();
-            for (i, &(offset, len)) in ranges.iter().enumerate() {
-                st.queue.push_back(Job::Get {
+        self.dispatch(
+            ranges
+                .iter()
+                .enumerate()
+                .map(|(i, &(offset, len))| Job::Get {
                     token: base + i as u64,
                     name: name.to_string(),
                     offset,
                     len,
                     crc,
-                });
-            }
-        }
-        self.shared.work_cv.notify_all();
+                })
+                .collect(),
+        );
 
         let mut results: Vec<Option<GetPart>> = (0..n).map(|_| None).collect();
         let mut got = 0;
@@ -312,74 +275,43 @@ impl Drop for WritebackPool {
     }
 }
 
-/// One volume's handle onto a (possibly shared) [`WritebackPool`]: a pool
-/// reference plus a private completion channel. A fleet node hosts many
-/// volumes over one pool; each volume submits and harvests through its
-/// own channel so completions never cross tenants, while scatter GETs
-/// (already token-routed) share the workers freely.
-#[derive(Clone)]
-pub struct PoolChannel {
-    pool: Arc<WritebackPool>,
-    chan: u64,
-}
-
-impl PoolChannel {
-    /// Wraps `pool` with a freshly allocated private channel.
-    pub fn new(pool: Arc<WritebackPool>) -> PoolChannel {
-        let chan = pool.alloc_chan();
-        PoolChannel { pool, chan }
-    }
-
-    /// The underlying shared pool (for scatter GETs and sizing).
-    pub fn pool(&self) -> &Arc<WritebackPool> {
-        &self.pool
-    }
-
-    /// Number of worker threads in the underlying pool.
-    pub fn threads(&self) -> usize {
-        self.pool.threads()
-    }
-
-    /// Queues one batch PUT on this channel.
-    pub fn submit_put(&self, seq: ObjSeq, name: String, data: Bytes) {
-        self.pool.submit_put_chan(self.chan, seq, name, data);
-    }
-
-    /// Harvests every completion available on this channel, non-blocking.
-    pub fn poll_puts(&self) -> Vec<PutCompletion> {
-        self.pool.poll_puts_chan(self.chan)
-    }
-
-    /// Blocks until at least one PUT on this channel completes (empty vec
-    /// immediately if none queued or running).
-    pub fn wait_puts(&self) -> Vec<PutCompletion> {
-        self.pool.wait_puts_chan(self.chan)
-    }
-
-    /// Fetches several ranges of one object concurrently (shared lane).
-    pub fn get_scatter(&self, name: &str, ranges: &[(u64, u64)]) -> Vec<objstore::Result<Bytes>> {
-        self.pool.get_scatter(name, ranges)
-    }
-
-    /// Scatter GET with worker-side CRC (shared lane).
-    pub fn get_scatter_crc(
-        &self,
-        name: &str,
-        ranges: &[(u64, u64)],
-    ) -> Vec<objstore::Result<(Bytes, u32)>> {
-        self.pool.get_scatter_crc(name, ranges)
-    }
-}
-
-fn take_puts(st: &mut PoolState, chan: u64) -> Vec<PutCompletion> {
+fn take_puts(st: &mut PoolState) -> Vec<PutCompletion> {
     let mut out = Vec::new();
     for d in std::mem::take(&mut st.done) {
         match d {
-            Done::Put(c, done) if c == chan => out.push(done),
+            Done::Put(done) => out.push(done),
             other => st.done.push(other),
         }
     }
     out
+}
+
+/// Executes one job against the store, with no pool lock held.
+fn run(shared: &Shared, job: Job) -> Done {
+    match job {
+        Job::Put { seq, name, data } => {
+            let start = Instant::now();
+            let result = shared.store.put(&name, data);
+            Done::Put(PutCompletion {
+                seq,
+                result,
+                service: start.elapsed(),
+            })
+        }
+        Job::Get {
+            token,
+            name,
+            offset,
+            len,
+            crc,
+        } => Done::Get {
+            token,
+            result: shared.store.get_range(&name, offset, len).map(|b| {
+                let c = crc.then(|| crate::crc::crc32c(&b));
+                (b, c)
+            }),
+        },
+    }
 }
 
 fn worker(shared: Arc<Shared>) {
@@ -391,59 +323,19 @@ fn worker(shared: Arc<Shared>) {
                     return;
                 }
                 if let Some(j) = st.queue.pop_front() {
-                    if let Job::Put { chan, .. } = &j {
-                        *st.active_puts.entry(*chan).or_insert(0) += 1;
+                    if matches!(j, Job::Put { .. }) {
+                        st.active_puts += 1;
                     }
                     break j;
                 }
                 shared.work_cv.wait(&mut st);
             }
         };
-        // Run the store call without any lock held.
-        let (done, put_chan) = match job {
-            Job::Put {
-                chan,
-                seq,
-                name,
-                data,
-            } => {
-                let start = Instant::now();
-                let result = shared.store.put(&name, data);
-                (
-                    Done::Put(
-                        chan,
-                        PutCompletion {
-                            seq,
-                            result,
-                            service: start.elapsed(),
-                        },
-                    ),
-                    Some(chan),
-                )
-            }
-            Job::Get {
-                token,
-                name,
-                offset,
-                len,
-                crc,
-            } => (
-                Done::Get {
-                    token,
-                    result: shared.store.get_range(&name, offset, len).map(|b| {
-                        let c = crc.then(|| crate::crc::crc32c(&b));
-                        (b, c)
-                    }),
-                },
-                None,
-            ),
-        };
+        let done = run(&shared, job);
         {
             let mut st = shared.state.lock();
-            if let Some(chan) = put_chan {
-                if let Some(n) = st.active_puts.get_mut(&chan) {
-                    *n -= 1;
-                }
+            if matches!(done, Done::Put(_)) {
+                st.active_puts -= 1;
             }
             st.done.push(done);
         }
@@ -499,17 +391,6 @@ impl DurableFrontier {
         }
         ready
     }
-
-    /// Jumps the prefix forward past `seq` — used when the foreground
-    /// thread itself PUTs objects inline (GC relocation objects), which is
-    /// only legal while no pipelined PUT is outstanding.
-    pub fn advance_past(&mut self, seq: ObjSeq) {
-        debug_assert!(
-            self.done.is_empty(),
-            "cannot jump the frontier over stashed completions"
-        );
-        self.next = self.next.max(seq + 1);
-    }
 }
 
 #[cfg(test)]
@@ -528,8 +409,6 @@ mod tests {
         assert_eq!(f.frontier(), 3);
         assert_eq!(f.gap_count(), 0);
         assert_eq!(f.complete(4), vec![4]);
-        f.advance_past(9);
-        assert_eq!(f.complete(10), vec![10]);
     }
 
     #[test]
@@ -579,7 +458,7 @@ mod tests {
     #[test]
     fn pool_puts_complete_and_poll_harvests() {
         let store = Arc::new(MemStore::new());
-        let pool = WritebackPool::spawn(store.clone(), 3).unwrap();
+        let pool = WritebackPool::spawn(store.clone(), 3);
         for seq in 1..=8u32 {
             pool.submit_put(seq, format!("o.{seq}"), Bytes::from(vec![seq as u8; 64]));
         }
@@ -598,38 +477,21 @@ mod tests {
     }
 
     #[test]
-    fn pool_channels_isolate_completions() {
+    fn inline_pool_runs_each_job_in_the_submitting_call() {
         let store = Arc::new(MemStore::new());
-        let pool = Arc::new(WritebackPool::spawn(store.clone(), 2).unwrap());
-        let a = PoolChannel::new(pool.clone());
-        let b = PoolChannel::new(pool.clone());
-        for seq in 1..=4u32 {
-            a.submit_put(seq, format!("a.{seq}"), Bytes::from(vec![1u8; 32]));
-            b.submit_put(seq, format!("b.{seq}"), Bytes::from(vec![2u8; 32]));
-        }
-        let mut a_seen = Vec::new();
-        while a_seen.len() < 4 {
-            for c in a.wait_puts() {
-                c.result.unwrap();
-                a_seen.push(c.seq);
-            }
-        }
-        a_seen.sort_unstable();
-        assert_eq!(a_seen, vec![1, 2, 3, 4]);
-        // Channel B's completions were never visible to A; B harvests all
-        // four of its own.
-        let mut b_seen = Vec::new();
-        while b_seen.len() < 4 {
-            for c in b.wait_puts() {
-                c.result.unwrap();
-                b_seen.push(c.seq);
-            }
-        }
-        b_seen.sort_unstable();
-        assert_eq!(b_seen, vec![1, 2, 3, 4]);
-        assert_eq!(store.object_count(), 8);
-        // The legacy chan-0 convenience sees neither.
-        assert!(pool.wait_puts().is_empty());
+        let pool = WritebackPool::spawn(store.clone(), 0);
+        assert_eq!(pool.threads(), 0);
+        pool.submit_put(1, "o.1".to_string(), Bytes::from(vec![1u8; 64]));
+        // Already in the store; the completion waits to be harvested.
+        assert_eq!(store.object_count(), 1);
+        let done = pool.poll_puts();
+        assert_eq!(done.len(), 1);
+        assert_eq!(done[0].seq, 1);
+        done[0].result.as_ref().unwrap();
+        assert!(pool.wait_puts().is_empty(), "nothing outstanding");
+        let parts = pool.get_scatter("o.1", &[(0, 32), (32, 32)]);
+        assert_eq!(parts.len(), 2);
+        assert!(parts.iter().all(|p| p.as_ref().unwrap().len() == 32));
     }
 
     #[test]
@@ -637,7 +499,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let body: Vec<u8> = (0..=255u8).cycle().take(1 << 16).collect();
         store.put("obj", Bytes::from(body.clone())).unwrap();
-        let pool = WritebackPool::spawn(store, 4).unwrap();
+        let pool = WritebackPool::spawn(store, 4);
         let ranges: Vec<(u64, u64)> = (0..4).map(|i| (i * 16384, 16384)).collect();
         let parts = pool.get_scatter("obj", &ranges);
         let mut joined = Vec::new();
@@ -658,7 +520,7 @@ mod tests {
         let store = Arc::new(MemStore::new());
         let body: Vec<u8> = (0..=255u8).cycle().take(1 << 15).collect();
         store.put("obj", Bytes::from(body.clone())).unwrap();
-        let pool = WritebackPool::spawn(store, 3).unwrap();
+        let pool = WritebackPool::spawn(store, 3);
         let ranges: Vec<(u64, u64)> = (0..4).map(|i| (i * 8192, 8192)).collect();
         let parts = pool.get_scatter_crc("obj", &ranges);
         let mut folded: Option<u32> = None;

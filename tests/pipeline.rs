@@ -2,7 +2,8 @@
 //!
 //! With `writeback_threads > 0`, sealed batches drain through a worker
 //! pool with a bounded window of concurrent PUTs while the foreground
-//! keeps accepting writes. These tests pin the contract:
+//! keeps accepting writes; with `0` the same engine runs each PUT inline.
+//! These tests pin the contract:
 //!
 //! - overlap actually hides backend PUT latency (the ≥2× acceptance
 //!   demo, against a store that really sleeps);
@@ -122,94 +123,104 @@ fn durable_frontier_trails_inflight_puts_and_catches_up() {
     assert!(!st.degraded);
 }
 
+/// Both writeback lanes: the inline pool (zero workers, window one) and
+/// a pool of `n` workers with an `n`-wide window. The contracts the tests
+/// below pin do not depend on the lane.
+fn lanes(n: usize) -> [(usize, usize); 2] {
+    [(0, 1), (n, n)]
+}
+
 #[test]
 fn transient_failure_requeues_without_reordering() {
-    let store = Arc::new(ChaosStore::new(MemStore::new()));
-    let cache = Arc::new(RamDisk::new(64 << 20));
-    let mut vol =
-        Volume::create(store.clone(), cache, "vol", 256 << 20, pipeline_cfg(4, 4)).expect("create");
+    for (threads, window) in lanes(4) {
+        let lane = format!("{threads} workers, window {window}");
+        let cfg = pipeline_cfg(threads, window);
+        let store = Arc::new(ChaosStore::new(MemStore::new()));
+        let cache = Arc::new(RamDisk::new(64 << 20));
+        let mut vol =
+            Volume::create(store.clone(), cache, "vol", 256 << 20, cfg.clone()).expect("create");
 
-    // One armed failure: exactly one of the in-flight PUTs bounces and is
-    // requeued while its successors may land first (out of order). The
-    // volume must hold the later completions until the gap fills.
-    store.fail_next_puts(1);
-    let data: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i + 1; BATCH as usize]).collect();
-    for (i, d) in data.iter().enumerate() {
-        vol.write(i as u64 * BATCH, d).expect("write absorbed");
-    }
-    vol.drain().expect("drain retries the bounced batch");
-    assert!(!vol.is_degraded());
-    assert!(
-        vol.stats().put_transient_failures >= 1,
-        "the bounce was seen"
-    );
-    assert_eq!(vol.durable_frontier(), 6);
+        // One armed failure: exactly one PUT bounces and is requeued while
+        // its successors may land first (out of order). The volume must
+        // hold the later completions until the gap fills.
+        store.fail_next_puts(1);
+        let data: Vec<Vec<u8>> = (0..6u8).map(|i| vec![i + 1; BATCH as usize]).collect();
+        for (i, d) in data.iter().enumerate() {
+            vol.write(i as u64 * BATCH, d).expect("write absorbed");
+        }
+        vol.drain().expect("drain retries the bounced batch");
+        assert!(!vol.is_degraded(), "{lane}");
+        assert!(
+            vol.stats().put_transient_failures >= 1,
+            "{lane}: the bounce was seen"
+        );
+        assert_eq!(vol.durable_frontier(), 6, "{lane}");
 
-    // Cold recovery from the backend alone: every batch landed, in order.
-    drop(vol);
-    let mut vol = Volume::open(
-        store,
-        Arc::new(RamDisk::new(64 << 20)),
-        "vol",
-        pipeline_cfg(4, 4),
-    )
-    .expect("reopen");
-    let mut buf = vec![0u8; BATCH as usize];
-    for (i, d) in data.iter().enumerate() {
-        vol.read(i as u64 * BATCH, &mut buf).expect("read");
-        assert_eq!(&buf, d, "batch {i} recovered from backend");
+        // Cold recovery from the backend alone: every batch landed, in order.
+        drop(vol);
+        let mut vol =
+            Volume::open(store, Arc::new(RamDisk::new(64 << 20)), "vol", cfg).expect("reopen");
+        let mut buf = vec![0u8; BATCH as usize];
+        for (i, d) in data.iter().enumerate() {
+            vol.read(i as u64 * BATCH, &mut buf).expect("read");
+            assert_eq!(&buf, d, "{lane}: batch {i} recovered from backend");
+        }
     }
 }
 
 #[test]
 fn backpressure_counts_queued_and_inflight() {
-    let store = Arc::new(ChaosStore::new(MemStore::new()));
-    let cache = Arc::new(RamDisk::new(64 << 20));
-    let tight = VolumeConfig {
-        max_pending_batches: 3,
-        max_inflight_puts: 2,
-        ..pipeline_cfg(2, 2)
-    };
-    let mut vol = Volume::create(store.clone(), cache, "vol", 256 << 20, tight).expect("create");
+    for (threads, window) in lanes(2) {
+        let lane = format!("{threads} workers, window {window}");
+        let store = Arc::new(ChaosStore::new(MemStore::new()));
+        let cache = Arc::new(RamDisk::new(64 << 20));
+        let tight = VolumeConfig {
+            max_pending_batches: 3,
+            ..pipeline_cfg(threads, window)
+        };
+        let mut vol =
+            Volume::create(store.clone(), cache, "vol", 256 << 20, tight).expect("create");
 
-    // Backend down hard: every PUT bounces, so the window plus the queue
-    // fill up and the watermark must reject further sealing writes.
-    store.fail_next_puts(1_000_000);
-    let data = vec![3u8; BATCH as usize];
-    let mut accepted = 0u64;
-    let mut rejected = None;
-    for i in 0..64u64 {
-        match vol.write(i * BATCH, &data) {
-            Ok(()) => accepted += 1,
-            Err(e) => {
-                rejected = Some(e);
-                break;
+        // Backend down hard: every PUT bounces, so the window plus the
+        // queue fill up and the watermark must reject further sealing
+        // writes.
+        store.fail_next_puts(1_000_000);
+        let data = vec![3u8; BATCH as usize];
+        let mut accepted = 0u64;
+        let mut rejected = None;
+        for i in 0..64u64 {
+            match vol.write(i * BATCH, &data) {
+                Ok(()) => accepted += 1,
+                Err(e) => {
+                    rejected = Some(e);
+                    break;
+                }
             }
         }
-    }
-    match rejected.expect("watermark rejects eventually") {
-        LsvdError::Backpressure { pending, limit } => {
-            assert_eq!(limit, 3);
-            assert!(
-                pending >= limit,
-                "queued + in-flight at or past the watermark"
-            );
+        match rejected.expect("watermark rejects eventually") {
+            LsvdError::Backpressure { pending, limit } => {
+                assert_eq!(limit, 3, "{lane}");
+                assert!(
+                    pending >= limit,
+                    "{lane}: queued + in-flight at or past the watermark"
+                );
+            }
+            e => panic!("{lane}: expected Backpressure, got {e}"),
         }
-        e => panic!("expected Backpressure, got {e}"),
-    }
-    assert!(accepted >= 3, "writes flowed until the watermark");
-    assert!(vol.is_degraded(), "unresolved transient failure");
-    assert!(vol.stats().backpressure_rejections >= 1);
+        assert!(accepted >= 3, "{lane}: writes flowed until the watermark");
+        assert!(vol.is_degraded(), "{lane}: unresolved transient failure");
+        assert!(vol.stats().backpressure_rejections >= 1, "{lane}");
 
-    // Heal: the queue drains strictly in order and degraded mode clears.
-    store.fail_next_puts(0);
-    vol.drain().expect("drain after heal");
-    assert!(!vol.is_degraded());
-    assert_eq!(vol.durable_frontier(), vol.last_object_seq());
-    let mut buf = vec![0u8; BATCH as usize];
-    for i in 0..accepted {
-        vol.read(i * BATCH, &mut buf).expect("read");
-        assert_eq!(buf, data, "accepted write {i} intact");
+        // Heal: the queue drains strictly in order and degraded mode clears.
+        store.fail_next_puts(0);
+        vol.drain().expect("drain after heal");
+        assert!(!vol.is_degraded(), "{lane}");
+        assert_eq!(vol.durable_frontier(), vol.last_object_seq(), "{lane}");
+        let mut buf = vec![0u8; BATCH as usize];
+        for i in 0..accepted {
+            vol.read(i * BATCH, &mut buf).expect("read");
+            assert_eq!(buf, data, "{lane}: accepted write {i} intact");
+        }
     }
 }
 
